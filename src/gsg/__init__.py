@@ -15,7 +15,6 @@ The package covers, for the group of m-colored permutations on n letters:
 
 from .errors import (
     BudgetExceeded,
-    DecompositionFailure,
     DigitBoundError,
     DimensionMismatch,
     GsgError,
@@ -26,7 +25,6 @@ from .errors import (
 )
 from .group_core import (
     DEFAULT_BUDGET,
-    ColoredValue,
     GroupElement,
     canonical_length,
     enumerate_group,

@@ -205,6 +205,9 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    # integers, digit strings and text codes may run past 4300 decimal digits
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = _build_parser().parse_args(argv)
     for field, minimum in (("m", 1), ("n", 1), ("budget", 1)):
         value = getattr(args, field, None)

@@ -37,7 +37,3 @@ class RankOutOfRange(GsgError, ValueError):
 
 class BudgetExceeded(GsgError, RuntimeError):
     """A whole-group sweep would visit more elements than the caller allowed."""
-
-
-class DecompositionFailure(GsgError, RuntimeError):
-    """The flag-generator decomposition lost uniqueness; indicates a bug."""

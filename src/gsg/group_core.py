@@ -31,7 +31,6 @@ from .errors import (
 )
 
 __all__ = [
-    "ColoredValue",
     "GroupElement",
     "group_order",
     "identity",
@@ -51,14 +50,6 @@ __all__ = [
 DEFAULT_BUDGET = 10**6
 
 _ENTRY_RE = re.compile(r"^(?:\[(\d+)\])?([0-9]+)$")
-
-
-@dataclass(frozen=True)
-class ColoredValue:
-    """A value ``1..n`` carrying a color exponent ``0..m-1``."""
-
-    value: int
-    color: int
 
 
 @dataclass(frozen=True)
@@ -84,12 +75,6 @@ class GroupElement:
         for r in self.colors:
             if not 0 <= r <= self.m - 1:
                 raise ValueError(f"color {r} outside 0..{self.m - 1}")
-
-    def apply(self, cv: ColoredValue) -> ColoredValue:
-        """Image of a colored value; colors add mod m."""
-        return ColoredValue(
-            self.beta[cv.value - 1], (cv.color + self.colors[cv.value - 1]) % self.m
-        )
 
     def window(self) -> str:
         """The one-line window text form."""

@@ -14,24 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from .errors import (
-    DecompositionFailure,
-    IndexOutOfRange,
-    RankOutOfRange,
-    UnsupportedRadix,
-)
-from .group_core import (
-    DEFAULT_BUDGET,
-    ColoredValue,
-    GroupElement,
-    enumerate_group,
-    gen_sigma,
-    group_order,
-    identity,
-    inverse,
-    multiply,
-    power,
-)
+from .errors import IndexOutOfRange, RankOutOfRange, UnsupportedRadix
+from .group_core import DEFAULT_BUDGET, GroupElement, enumerate_group, group_order
 from .mixed_radix import MixedRadixNumber, decode, encode_width
 
 __all__ = [
@@ -209,21 +193,15 @@ def rank(w: GroupElement) -> int:
     return decode(inversion_table(w).to_digits()) + 1
 
 
-def _candidates(remaining: list[int], m: int) -> list[ColoredValue]:
-    # plain values descending, then colored values ascending by value
-    out = [ColoredValue(v, 0) for v in sorted(remaining, reverse=True)]
-    for v in sorted(remaining):
-        out.extend(ColoredValue(v, k) for k in range(1, m))
-    return out
-
-
 def unrank(r: int, m: int, n: int) -> GroupElement:
     """The element whose rank is ``r``; inverse of :func:`rank`.
 
-    Positions are filled from n down to 1.  At each step the digit selects
-    an entry from the candidate list over the remaining values (plain
-    entries descending, then colored entries ascending by value), and all
-    entries sharing the selected value drop out.
+    Positions are filled from n down to 1.  Each digit selects from the
+    remaining values, ordered plain entries descending, then colored entries
+    ascending by value: a digit ``d`` below the count ``k`` of remaining
+    values picks the d-th largest with color 0, otherwise ``divmod(d - k,
+    m - 1)`` gives the index among the remaining values in ascending order
+    and the color minus 1.  O(n^2) in all.
     """
     order = group_order(m, n)
     if not 1 <= r <= order:
@@ -232,42 +210,50 @@ def unrank(r: int, m: int, n: int) -> GroupElement:
     remaining = list(range(1, n + 1))
     beta = [0] * n
     colors = [0] * n
-    for i in range(1, n + 1):
-        choice = _candidates(remaining, m)[digits[n - i]]
-        beta[n - i] = choice.value
-        colors[n - i] = choice.color
-        remaining.remove(choice.value)
+    for p in range(n - 1, -1, -1):
+        d = digits[p]
+        k = len(remaining)
+        if d < k:
+            beta[p] = remaining.pop(k - 1 - d)
+        else:
+            idx, c = divmod(d - k, m - 1)
+            beta[p] = remaining.pop(idx)
+            colors[p] = c + 1
     return GroupElement(m, n, tuple(beta), tuple(colors))
+
+
+def _turn(beta: list[int], colors: list[int], m: int, i: int, k: int) -> None:
+    """Apply the k-th power of the i-th flag generator to positions 1..i+1.
+
+    Those positions must hold the values 1..i+1.  The generator sends
+    ``(v, c)`` to ``(v-1, c)`` for ``2 <= v <= i+1`` and ``(1, c)`` to
+    ``(i+1, c+1)``: one cycle of length m(i+1) on which ``(v, c)`` has index
+    ``c*(i+1) + (i+1-v)``, so the power adds k to that index.
+    """
+    size = i + 1
+    for p in range(size):
+        c, r = divmod((colors[p] * size + size - beta[p] + k) % (m * size), size)
+        beta[p] = size - r
+        colors[p] = c
 
 
 def fmaj_exponents(w: GroupElement) -> list[int]:
     """Exponents of the unique flag-generator factorization.
 
-    Peels coset representatives from the top: for each ``i`` from ``n-1``
-    down to 1, the images of ``i+1`` under the powers of the i-th flag
-    generator are pairwise distinct, so exactly one power matches ``w`` at
-    ``i+1``; dividing it out fixes position ``i+1`` and recursion continues
-    below.  What remains determines the exponent of the color rotation.
+    ``w`` is the product of the i-th flag generator to the power ``e_i``,
+    i = n-1 down to 0.  Generators below i fix i+1, so ``e_i`` is the cycle
+    index (see :func:`_turn`) of the entry at position i+1; turning
+    positions 1..i+1 back by ``e_i`` divides that power out.  What is left
+    is a color rotation at position 1, giving ``e_0``.  O(n^2), with no
+    group products; the product of ``gen_sigma`` powers is the test oracle.
     """
     m, n = w.m, w.n
+    beta, colors = list(w.beta), list(w.colors)
     exps = [0] * n
-    cur = w
     for i in range(n - 1, 0, -1):
-        sig = gen_sigma(m, n, i)
-        images = [ColoredValue(i + 1, 0)]
-        for _ in range(m * (i + 1) - 1):
-            images.append(sig.apply(images[-1]))
-        if len(set(images)) != m * (i + 1):
-            raise DecompositionFailure(
-                f"power images of flag generator {i} are not distinct"
-            )
-        target = ColoredValue(cur.beta[i], cur.colors[i])
-        k = images.index(target)
-        exps[i] = k
-        cur = multiply(power(inverse(sig), k), cur)
-    if cur.beta != identity(m, n).beta or any(cur.colors[1:]):
-        raise DecompositionFailure("residue after peeling is not a color rotation")
-    exps[0] = cur.colors[0]
+        exps[i] = colors[i] * (i + 1) + (i + 1 - beta[i])
+        _turn(beta, colors, m, i, -exps[i])
+    exps[0] = colors[0]
     return exps
 
 
@@ -279,14 +265,18 @@ def fmaj(w: GroupElement) -> int:
 def phi(w: GroupElement) -> GroupElement:
     """The bijection carrying the inversion statistic onto the flag-major index.
 
-    Reads the inversion table as flag-generator exponents, top down.
+    Reads the inversion table as flag-generator exponents, top down: the
+    image is the product of the i-th flag generator to the power
+    ``entries[n-1-i]``, i = n-1 down to 0.  Built from the identity by
+    turning positions 1..i+1 for i = 0 up (see :func:`_turn`) in O(n^2); the
+    product of ``gen_sigma`` powers is the test oracle.
     """
+    m, n = w.m, w.n
     entries = inversion_table(w).entries
-    result = identity(w.m, w.n)
-    for i in range(w.n - 1, -1, -1):
-        a_i = entries[w.n - 1 - i]
-        result = multiply(result, power(gen_sigma(w.m, w.n, i), a_i))
-    return result
+    beta, colors = list(range(1, n + 1)), [0] * n
+    for i in range(n):
+        _turn(beta, colors, m, i, entries[n - 1 - i])
+    return GroupElement(m, n, tuple(beta), tuple(colors))
 
 
 @dataclass(frozen=True)

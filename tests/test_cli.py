@@ -1,11 +1,14 @@
 """CLI integration tests: output formats, round-trips, exit codes."""
 
 import json
+import sys
+from math import factorial
 from pathlib import Path
 
 import pytest
 
 from gsg.cli import main
+from gsg.mixed_radix import MixedRadixNumber, decode, encode
 
 GOLDEN = Path(__file__).parent / "data" / "table_3_3_golden.csv"
 
@@ -204,3 +207,52 @@ def test_cli_roundtrips(capsys):
     _, window, _ = run(capsys, "unrank", "--m", "4", "--n", "5", "777")
     _, back, _ = run(capsys, "rank", "--m", "4", window.strip())
     assert back.strip() == "777"
+
+
+def with_int_limit(limit, fn, *args):
+    """``fn(*args)`` under the given int<->str digit limit (0 = none)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return fn(*args)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        return fn(*args)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def run_at_default_limit(capsys, *argv):
+    # main must lift CPython's default limit itself
+    default = getattr(sys.int_info, "default_max_str_digits", 0)
+    return with_int_limit(default, run, capsys, *argv)
+
+
+def test_convert_to_int_past_str_digit_limit(capsys):
+    n = 1700
+    top = ":".join(str(2 * (i + 1) - 1) for i in reversed(range(n)))
+    expected = with_int_limit(0, str, 2**n * factorial(n) - 1)
+    assert len(expected) > 4300
+    assert run_at_default_limit(capsys, "convert", "--m", "2", "--to-int", top)[:2] == (
+        0,
+        expected + "\n",
+    )
+
+
+def test_convert_to_digits_past_str_digit_limit(capsys):
+    text = "1234567890" * 440
+    x = with_int_limit(0, int, text)
+    code, out, _ = run_at_default_limit(capsys, "convert", "--m", "7", "--to-digits", text)
+    assert code == 0
+    assert out == f"{encode(x, 7)}\n"
+    assert decode(MixedRadixNumber.from_text(out.strip(), 7)) == x
+
+
+def test_text_encode_past_str_digit_limit(capsys):
+    text = (PANGRAM + " ") * 50
+    assert len(text) == 2200
+    codes = "".join(str(ord(ch)) for ch in text)
+    digits = encode(with_int_limit(0, int, codes), 7)
+    assert run_at_default_limit(capsys, "text-encode", "--m", "7", text)[:2] == (
+        0,
+        f"{codes}\n{digits}\n{digits.n}\n",
+    )

@@ -5,15 +5,17 @@ import random
 from math import factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gsg.errors import IndexOutOfRange, RankOutOfRange, UnsupportedRadix
 from gsg.group_core import (
-    ColoredValue,
     GroupElement,
     canonical_length,
     enumerate_group,
     gen_sigma,
     gen_t,
+    group_order,
     identity,
     longest_element,
     multiply,
@@ -245,9 +247,8 @@ def test_flag_generator_images_distinct():
     for m, n in [(2, 4), (3, 3), (5, 2)]:
         for i in range(1, n):
             sig = gen_sigma(m, n, i)
-            images = [ColoredValue(i + 1, 0)]
-            for _ in range(m * (i + 1) - 1):
-                images.append(sig.apply(images[-1]))
+            powers = [power(sig, k) for k in range(m * (i + 1))]
+            images = [(p.beta[i], p.colors[i]) for p in powers]
             assert len(set(images)) == m * (i + 1)
 
 
@@ -314,3 +315,46 @@ def test_length_functions_diverge_for_radix_three():
     t2 = gen_t(3, 2, 2)
     assert length_L(t2) == 4
     assert canonical_length(t2) == 3
+
+
+@st.composite
+def elements(draw, max_m=6, max_n=300):
+    m = draw(st.integers(1, max_m))
+    n = draw(st.integers(1, max_n))
+    beta = tuple(draw(st.permutations(list(range(1, n + 1)))))
+    colors = tuple(draw(st.integers(0, m - 1)) for _ in range(n))
+    return GroupElement(m, n, beta, colors)
+
+
+@given(elements())
+def test_unrank_inverts_rank_property(w):
+    assert unrank(rank(w), w.m, w.n) == w
+
+
+@given(st.integers(1, 6), st.integers(1, 300), st.data())
+def test_rank_inverts_unrank_property(m, n, data):
+    r = data.draw(st.integers(1, group_order(m, n)))
+    assert rank(unrank(r, m, n)) == r
+
+
+def sigma_product(m, n, exps):
+    """Oracle: the product of flag-generator powers, i = n-1 down to 0."""
+    out = identity(m, n)
+    for i in range(n - 1, -1, -1):
+        out = multiply(out, power(gen_sigma(m, n, i), exps[i]))
+    return out
+
+
+@given(elements(max_n=30))
+def test_fmaj_exponents_rebuild_the_element_property(w):
+    exps = fmaj_exponents(w)
+    for i, k in enumerate(exps):
+        assert 0 <= k <= w.m * (i + 1) - 1
+    assert sigma_product(w.m, w.n, exps) == w
+
+
+@given(elements(max_n=30))
+def test_phi_is_the_flag_generator_product_property(w):
+    entries = inversion_table(w).entries
+    exps = [entries[w.n - 1 - i] for i in range(w.n)]
+    assert phi(w) == sigma_product(w.m, w.n, exps)
