@@ -22,7 +22,6 @@ from .statistics import (
     fmaj,
     fmaj_exponents,
     inversion_table,
-    length_L,
     poincare,
     rank,
     unrank,
@@ -132,9 +131,8 @@ def _cmd_stats(args) -> int:
     table = inversion_table(w)
     out = {
         "inv_table": str(table),
-        # for m = 1 the root system is unavailable; length additivity
-        # makes the entry sum the same number
-        "L": length_L(w) if w.m >= 2 else sum(table.entries),
+        # length additivity: L is the sum of the i-inversion numbers
+        "L": sum(table.entries),
         "fmaj": fmaj(w),
         "fmaj_exponents": fmaj_exponents(w),
         "rank": rank(w),

@@ -49,7 +49,7 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**6
 
-_ENTRY_RE = re.compile(r"^(?:\[(\d+)\])?([0-9]+)$")
+_ENTRY_RE = re.compile(r"^(?:\[([0-9]+)\])?([0-9]+)$")
 
 
 @dataclass(frozen=True)
@@ -118,17 +118,33 @@ def inverse(u: GroupElement) -> GroupElement:
 
 
 def power(u: GroupElement, k: int) -> GroupElement:
-    """``u`` composed with itself ``k`` times; negative ``k`` uses the inverse."""
-    if k < 0:
-        return power(inverse(u), -k)
-    result = identity(u.m, u.n)
-    base = u
-    while k:
-        if k & 1:
-            result = multiply(result, base)
-        base = multiply(base, base)
-        k >>= 1
-    return result
+    """``u`` composed with itself ``k`` times; negative ``k`` powers the inverse.
+
+    One walk per cycle of the permutation, O(n) for any ``k``: the entry at
+    index ``idx`` of a cycle of length ``ell`` moves ``k mod ell`` steps
+    along it and picks up the colors it passes, plus the cycle's color sum
+    once per whole turn (prefix sums over the cycle written out twice).
+    """
+    m, n = u.m, u.n
+    beta = [0] * n
+    colors = [0] * n
+    for start in range(n):
+        if beta[start]:
+            continue
+        cycle = [start]
+        q = u.beta[start] - 1
+        while q != start:
+            cycle.append(q)
+            q = u.beta[q] - 1
+        ell = len(cycle)
+        whole, rest = divmod(k, ell)
+        twice = [u.colors[q] for q in cycle * 2]
+        prefix = list(itertools.accumulate(twice, initial=0))
+        turn = whole * prefix[ell]
+        for idx, q in enumerate(cycle):
+            beta[q] = cycle[(idx + rest) % ell] + 1
+            colors[q] = (turn + prefix[idx + rest] - prefix[idx]) % m
+    return GroupElement(m, n, tuple(beta), tuple(colors))
 
 
 def gen_s(m: int, n: int, i: int) -> GroupElement:

@@ -62,7 +62,7 @@ class MixedRadixNumber:
         parts = text.split(":")
         digits = []
         for part in parts:
-            if not part.isdigit():
+            if not (part.isascii() and part.isdigit()):
                 raise DigitBoundError(f"digit {part!r} is not a decimal number")
             digits.append(int(part))
         return cls(m, tuple(reversed(digits)))

@@ -4,13 +4,17 @@ The root system lives on colored basis vectors: a root is the formal
 difference of two distinct colored vectors.  The root-theoretic length of
 an element is the number of simple-side roots it sends negative; split by
 anchor coordinate this gives the i-inversion numbers, whose vector is a
-valid mixed-radix digit string.  Decoding that string (plus one) ranks the
+valid mixed-radix digit string.  The library computes those numbers in
+closed form, in one pass over the window, and the length as their sum;
+counting roots is kept as the oracle (:func:`length_L_oracle`,
+:func:`inv_oracle`).  Decoding the digit string (plus one) ranks the
 group, and reading it as flag-generator exponents transports the length
 statistic onto the flag-major index.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Literal
 
@@ -28,6 +32,7 @@ __all__ = [
     "is_negative",
     "act",
     "length_L",
+    "length_L_oracle",
     "inv_oracle",
     "inv_closed",
     "inversion_table",
@@ -129,7 +134,17 @@ def act(w: GroupElement, r: Root) -> Root:
 
 
 def length_L(w: GroupElement) -> int:
-    """Number of simple-side roots sent negative (the root-theoretic length)."""
+    """The root-theoretic length, as the sum of the i-inversion numbers.
+
+    Length additivity makes this equal to :func:`length_L_oracle`, which
+    counts the roots.  Needs m >= 2, like the root system it measures.
+    """
+    _require_radix(w.m)
+    return sum(_inversions(w))
+
+
+def length_L_oracle(w: GroupElement) -> int:
+    """Number of simple-side roots sent negative, by direct counting."""
     return sum(1 for r in delta(w.m, w.n) if is_negative(act(w, r)))
 
 
@@ -152,6 +167,23 @@ def inv_closed(w: GroupElement, i: int) -> int:
     smaller = sum(1 for j in range(p - 1) if w.beta[j] < b_p)
     larger = (p - 1) - smaller
     return r_p + (w.m * smaller if r_p != 0 else 0) + larger
+
+
+def _inversions(w: GroupElement) -> list[int]:
+    """Every i-inversion number in position order, in one pass.
+
+    The entry at 0-based position p is :func:`inv_closed` with i = n - p;
+    the earlier values are kept sorted, so the count ``s`` of earlier
+    smaller values is one binary search.
+    """
+    m = w.m
+    earlier: list[int] = []
+    out = []
+    for p, (b, c) in enumerate(zip(w.beta, w.colors)):
+        s = bisect_left(earlier, b)
+        earlier.insert(s, b)
+        out.append(c + (m * s if c else 0) + (p - s))
+    return out
 
 
 @dataclass(frozen=True)
@@ -182,10 +214,8 @@ class InversionTable:
 
 
 def inversion_table(w: GroupElement) -> InversionTable:
-    """All i-inversions via the closed form."""
-    return InversionTable(
-        w.m, w.n, tuple(inv_closed(w, i) for i in range(1, w.n + 1))
-    )
+    """All i-inversions via the closed form, in one pass."""
+    return InversionTable(w.m, w.n, tuple(reversed(_inversions(w))))
 
 
 def rank(w: GroupElement) -> int:
@@ -331,8 +361,8 @@ def histogram(
 ) -> QPolynomial:
     """Coefficient ``c_k`` counts the elements with statistic value ``k``.
 
-    ``inv`` sums the closed-form inversion table, ``L`` counts negative
-    roots directly; the two must agree but follow independent code paths.
+    ``inv`` and ``L`` both sum the closed-form i-inversion numbers, but
+    ``L`` needs m >= 2; :func:`length_L_oracle` is the root count.
     """
     if statistic == "inv":
         stat = lambda w: sum(inversion_table(w).entries)

@@ -19,7 +19,7 @@ from .statistics import (
     inv_closed,
     inv_oracle,
     inversion_table,
-    length_L,
+    length_L_oracle,
     poincare,
     rank,
     unrank,
@@ -75,7 +75,7 @@ def _check_rank_bijection(m: int, n: int, budget: int) -> bool:
 
 def _check_length_additivity(m: int, n: int, budget: int) -> bool:
     for w in enumerate_group(m, n, budget):
-        if sum(inversion_table(w).entries) != length_L(w):
+        if sum(inversion_table(w).entries) != length_L_oracle(w):
             return False
     return True
 

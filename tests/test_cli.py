@@ -167,6 +167,20 @@ def test_parse_errors_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("convert", "--m", "2", "--to-int", "\u00b2"),  # superscript two
+        ("convert", "--m", "2", "--to-int", "\u0661:0"),  # Arabic-Indic one
+        ("rank", "--m", "4", "[\u0663]1"),  # Arabic-Indic three as a color
+    ],
+)
+def test_non_ascii_digits_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_argparse_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["convert", "--m", "7"])  # neither --to-digits nor --to-int

@@ -229,3 +229,22 @@ def test_inverse_and_window_roundtrip_property(w):
 @given(elements(), st.integers(0, 8), st.integers(0, 8))
 def test_power_addition_property(w, a, b):
     assert power(w, a + b) == multiply(power(w, a), power(w, b))
+
+
+def square_and_multiply_power(u, k):
+    """Oracle: ``u`` to the ``k`` by repeated squaring of group products."""
+    if k < 0:
+        return square_and_multiply_power(inverse(u), -k)
+    result = identity(u.m, u.n)
+    base = u
+    while k:
+        if k & 1:
+            result = multiply(result, base)
+        base = multiply(base, base)
+        k >>= 1
+    return result
+
+
+@given(elements(max_n=200), st.integers(-10**6, 10**6))
+def test_power_matches_square_and_multiply_property(w, k):
+    assert power(w, k) == square_and_multiply_power(w, k)

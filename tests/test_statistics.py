@@ -37,6 +37,7 @@ from gsg.statistics import (
     inversion_table,
     is_negative,
     length_L,
+    length_L_oracle,
     phi,
     poincare,
     rank,
@@ -146,6 +147,12 @@ def test_oracle_matches_closed_form_exhaustive(m, n):
         for i in range(1, n + 1):
             assert inv_oracle(w, i) == inv_closed(w, i)
         assert sum(inversion_table(w).entries) == length_L(w)
+
+
+@pytest.mark.parametrize("m,n", [(2, 4), (3, 3)])
+def test_length_closed_form_matches_root_count_exhaustive(m, n):
+    for w in enumerate_group(m, n):
+        assert length_L(w) == length_L_oracle(w)
 
 
 def test_oracle_matches_closed_form_random_big():
@@ -318,8 +325,8 @@ def test_length_functions_diverge_for_radix_three():
 
 
 @st.composite
-def elements(draw, max_m=6, max_n=300):
-    m = draw(st.integers(1, max_m))
+def elements(draw, min_m=1, max_m=6, max_n=300):
+    m = draw(st.integers(min_m, max_m))
     n = draw(st.integers(1, max_n))
     beta = tuple(draw(st.permutations(list(range(1, n + 1)))))
     colors = tuple(draw(st.integers(0, m - 1)) for _ in range(n))
@@ -329,6 +336,17 @@ def elements(draw, max_m=6, max_n=300):
 @given(elements())
 def test_unrank_inverts_rank_property(w):
     assert unrank(rank(w), w.m, w.n) == w
+
+
+@given(elements(min_m=2, max_m=5, max_n=12))
+def test_length_closed_form_matches_root_count_property(w):
+    assert length_L(w) == length_L_oracle(w)
+
+
+@given(elements())
+def test_inversion_table_matches_per_index_closed_form_property(w):
+    entries = tuple(inv_closed(w, i) for i in range(1, w.n + 1))
+    assert inversion_table(w).entries == entries
 
 
 @given(st.integers(1, 6), st.integers(1, 300), st.data())
