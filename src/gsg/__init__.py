@@ -13,18 +13,7 @@ The package covers, for the group of m-colored permutations on n letters:
 * a command line surface, ``gsg`` (:mod:`gsg.cli`).
 """
 
-from .errors import (
-    BudgetExceeded,
-    DigitBoundError,
-    DimensionMismatch,
-    GsgError,
-    IndexOutOfRange,
-    RankOutOfRange,
-    UnsupportedRadix,
-    WindowParseError,
-)
 from .group_core import (
-    DEFAULT_BUDGET,
     GroupElement,
     canonical_length,
     enumerate_group,
@@ -41,11 +30,7 @@ from .group_core import (
 )
 from .mixed_radix import MixedRadixNumber, decode, encode, encode_width, weights
 from .statistics import (
-    InversionTable,
     QPolynomial,
-    Root,
-    act,
-    all_roots,
     delta,
     delta_block,
     fmaj,
@@ -54,7 +39,6 @@ from .statistics import (
     inv_closed,
     inv_oracle,
     inversion_table,
-    is_negative,
     length_L,
     phi,
     poincare,
@@ -62,13 +46,10 @@ from .statistics import (
     unrank,
 )
 from .subexceedant import (
-    SubexceedantFunction,
     digits_of_element,
     element_of_digits,
     element_of_integer,
     integer_of_element,
-    psi,
-    psi_inverse,
 )
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .errors import (
@@ -18,14 +19,7 @@ from .errors import (
 )
 from .group_core import DEFAULT_BUDGET, canonical_length, group_order, parse_window
 from .mixed_radix import MixedRadixNumber, decode, encode
-from .statistics import (
-    fmaj,
-    fmaj_exponents,
-    inversion_table,
-    poincare,
-    rank,
-    unrank,
-)
+from .statistics import fmaj_exponents, inversion_table, poincare, rank, unrank
 from .subexceedant import digits_of_element, element_of_integer, integer_of_element
 from .verify import run_property_checks
 
@@ -36,6 +30,14 @@ EXIT_RANGE = 3
 EXIT_BUDGET = 4
 
 
+def _integer(text: str) -> int:
+    """ASCII digits with an optional leading minus (``int`` also takes other
+    scripts' digits, ``+``, underscores and surrounding whitespace)."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gsg",
@@ -44,53 +46,53 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("convert", help="integer <-> mixed-radix digit string")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_integer, required=True)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--to-digits", type=int, metavar="X")
+    group.add_argument("--to-digits", type=_integer, metavar="X")
     group.add_argument("--to-int", metavar="DIGITS")
 
     p = sub.add_parser("element", help="integer <-> group element window")
     esub = p.add_subparsers(dest="action", required=True)
     enc = esub.add_parser("encode", help="integer to window")
-    enc.add_argument("--m", type=int, required=True)
-    enc.add_argument("--n", type=int, required=True)
-    enc.add_argument("x", type=int)
+    enc.add_argument("--m", type=_integer, required=True)
+    enc.add_argument("--n", type=_integer, required=True)
+    enc.add_argument("x", type=_integer)
     dec = esub.add_parser("decode", help="window to integer")
-    dec.add_argument("--m", type=int, required=True)
+    dec.add_argument("--m", type=_integer, required=True)
     dec.add_argument("window")
 
     p = sub.add_parser("rank", help="1-based rank of a window")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_integer, required=True)
     p.add_argument("window")
 
     p = sub.add_parser("unrank", help="window at a 1-based rank")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("rank", type=int)
+    p.add_argument("--m", type=_integer, required=True)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("rank", type=_integer)
 
     p = sub.add_parser("stats", help="all statistics of a window, as JSON")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_integer, required=True)
     p.add_argument("--bfs", action="store_true", help="also compute word length")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET)
     p.add_argument("window")
 
     p = sub.add_parser("table", help="the whole group in rank order")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=_integer, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("poincare", help="coefficients of the length generating function")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=_integer, required=True)
+    p.add_argument("--n", type=_integer, required=True)
 
     p = sub.add_parser("verify", help="run the whole-group invariant sweep")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--m", type=_integer, required=True)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("text-encode", help="text to integer to digit string")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_integer, required=True)
     p.add_argument("text")
 
     return parser
@@ -129,15 +131,17 @@ def _cmd_unrank(args) -> int:
 def _cmd_stats(args) -> int:
     w = parse_window(args.window, args.m)
     table = inversion_table(w)
+    exponents = fmaj_exponents(w)
+    digits = digits_of_element(w)
     out = {
         "inv_table": str(table),
         # length additivity: L is the sum of the i-inversion numbers
         "L": sum(table.entries),
-        "fmaj": fmaj(w),
-        "fmaj_exponents": fmaj_exponents(w),
+        "fmaj": sum(exponents),
+        "fmaj_exponents": exponents,
         "rank": rank(w),
-        "subexceedant_digits": str(digits_of_element(w)),
-        "integer_rep": integer_of_element(w),
+        "subexceedant_digits": str(digits),
+        "integer_rep": decode(digits),
     }
     if args.bfs:
         out["canonical_length"] = canonical_length(w, args.budget)

@@ -29,6 +29,7 @@ from .errors import (
     IndexOutOfRange,
     WindowParseError,
 )
+from .mixed_radix import unchecked
 
 __all__ = [
     "GroupElement",
@@ -49,7 +50,7 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**6
 
-_ENTRY_RE = re.compile(r"^(?:\[([0-9]+)\])?([0-9]+)$")
+_ENTRY_RE = re.compile(r"(?:\[([0-9]+)\])?([0-9]+)")
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,7 @@ def multiply(u: GroupElement, v: GroupElement) -> GroupElement:
     colors = tuple(
         (vc + u.colors[g - 1]) % u.m for g, vc in zip(v.beta, v.colors)
     )
-    return GroupElement(u.m, u.n, beta, colors)
+    return unchecked(GroupElement, u.m, u.n, beta, colors)
 
 
 def inverse(u: GroupElement) -> GroupElement:
@@ -114,7 +115,7 @@ def inverse(u: GroupElement) -> GroupElement:
     for k, image in enumerate(u.beta, start=1):
         beta_inv[image - 1] = k
     colors = tuple((-u.colors[beta_inv[j] - 1]) % u.m for j in range(u.n))
-    return GroupElement(u.m, u.n, tuple(beta_inv), colors)
+    return unchecked(GroupElement, u.m, u.n, tuple(beta_inv), colors)
 
 
 def power(u: GroupElement, k: int) -> GroupElement:
@@ -144,7 +145,7 @@ def power(u: GroupElement, k: int) -> GroupElement:
         for idx, q in enumerate(cycle):
             beta[q] = cycle[(idx + rest) % ell] + 1
             colors[q] = (turn + prefix[idx + rest] - prefix[idx]) % m
-    return GroupElement(m, n, tuple(beta), tuple(colors))
+    return unchecked(GroupElement, m, n, tuple(beta), tuple(colors))
 
 
 def gen_s(m: int, n: int, i: int) -> GroupElement:
@@ -235,7 +236,7 @@ def enumerate_group(
     def generate():
         for beta in itertools.permutations(range(1, n + 1)):
             for colors in itertools.product(range(m), repeat=n):
-                yield GroupElement(m, n, beta, colors)
+                yield unchecked(GroupElement, m, n, beta, colors)
 
     return generate()
 
@@ -246,13 +247,15 @@ def parse_window(text: str, m: int) -> GroupElement:
     The number of entries fixes n; the values must form a permutation of
     1..n and color prefixes must lie in 1..m-1.
     """
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
     entries = text.split(" ") if text else []
     if not entries or entries == [""]:
         raise WindowParseError("empty window")
     beta = []
     colors = []
     for pos, entry in enumerate(entries, start=1):
-        match = _ENTRY_RE.match(entry)
+        match = _ENTRY_RE.fullmatch(entry)
         if match is None:
             raise WindowParseError(f"entry {pos} ({entry!r}) is malformed")
         color = int(match.group(1)) if match.group(1) is not None else 0
@@ -270,4 +273,4 @@ def parse_window(text: str, m: int) -> GroupElement:
     if len(set(beta)) != n:
         dup = next(v for v in beta if beta.count(v) > 1)
         raise WindowParseError(f"value {dup} appears more than once")
-    return GroupElement(m, n, tuple(beta), tuple(colors))
+    return unchecked(GroupElement, m, n, tuple(beta), tuple(colors))

@@ -26,6 +26,17 @@ __all__ = [
 ]
 
 
+def unchecked(cls, *field_values):
+    """An instance of the frozen dataclass ``cls`` that skips ``__post_init__``.
+
+    Only for values the library built from checked values, which pass the
+    checks by construction; sequences must already be tuples.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, field_values))
+    return obj
+
+
 @dataclass(frozen=True)
 class MixedRadixNumber:
     """A digit vector in the mixed-radix system with seed ``m``.
@@ -92,16 +103,11 @@ def encode(x: int, m: int) -> MixedRadixNumber:
         raise ValueError(f"cannot encode negative integer {x}")
     if m < 1:
         raise ValueError(f"radix seed must be >= 1, got {m}")
-    if x == 0:
-        return MixedRadixNumber(m, (0,))
     digits = []
-    q = x
-    i = 0
-    while q > 0:
-        q, d = divmod(q, m * (i + 1))
+    while x or not digits:
+        x, d = divmod(x, m * (len(digits) + 1))
         digits.append(d)
-        i += 1
-    return MixedRadixNumber(m, tuple(digits))
+    return unchecked(MixedRadixNumber, m, tuple(digits))
 
 
 def encode_width(x: int, m: int, n: int) -> MixedRadixNumber:
@@ -115,10 +121,12 @@ def encode_width(x: int, m: int, n: int) -> MixedRadixNumber:
     minimal = encode(x, m)
     if minimal.n > n:
         raise OverflowError(f"{x} needs {minimal.n} digits, only {n} allowed")
-    return MixedRadixNumber(m, minimal.digits + (0,) * (n - minimal.n))
+    return unchecked(MixedRadixNumber, m, minimal.digits + (0,) * (n - minimal.n))
 
 
 def decode(d: MixedRadixNumber) -> int:
-    """The integer sum of digit times positional weight."""
-    ws = weights(d.m, d.n)
-    return sum(digit * w for digit, w in zip(d.digits, ws))
+    """The integer sum of digit times positional weight, by Horner's rule."""
+    x = 0
+    for i, digit in zip(range(d.n, 0, -1), reversed(d.digits)):
+        x = x * (d.m * i) + digit
+    return x

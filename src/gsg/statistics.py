@@ -20,7 +20,7 @@ from typing import Literal
 
 from .errors import IndexOutOfRange, RankOutOfRange, UnsupportedRadix
 from .group_core import DEFAULT_BUDGET, GroupElement, enumerate_group, group_order
-from .mixed_radix import MixedRadixNumber, decode, encode_width
+from .mixed_radix import MixedRadixNumber, decode, encode_width, unchecked
 
 __all__ = [
     "Root",
@@ -198,17 +198,6 @@ class InversionTable:
     n: int
     entries: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.entries) != self.n:
-            raise ValueError("one entry per coordinate required")
-        for i, e in enumerate(self.entries, start=1):
-            bound = self.m * (self.n - i + 1) - 1
-            if not 0 <= e <= bound:
-                raise ValueError(f"entry {i} = {e} outside 0..{bound}")
-
-    def to_digits(self) -> MixedRadixNumber:
-        return MixedRadixNumber(self.m, tuple(reversed(self.entries)))
-
     def __str__(self) -> str:
         return ":".join(str(e) for e in self.entries)
 
@@ -220,7 +209,8 @@ def inversion_table(w: GroupElement) -> InversionTable:
 
 def rank(w: GroupElement) -> int:
     """1-based position of ``w`` in the inversion-table enumeration."""
-    return decode(inversion_table(w).to_digits()) + 1
+    # in position order, the i-inversion numbers are the digits least significant first
+    return decode(unchecked(MixedRadixNumber, w.m, tuple(_inversions(w)))) + 1
 
 
 def unrank(r: int, m: int, n: int) -> GroupElement:
@@ -249,7 +239,7 @@ def unrank(r: int, m: int, n: int) -> GroupElement:
             idx, c = divmod(d - k, m - 1)
             beta[p] = remaining.pop(idx)
             colors[p] = c + 1
-    return GroupElement(m, n, tuple(beta), tuple(colors))
+    return unchecked(GroupElement, m, n, tuple(beta), tuple(colors))
 
 
 def _turn(beta: list[int], colors: list[int], m: int, i: int, k: int) -> None:
@@ -306,7 +296,7 @@ def phi(w: GroupElement) -> GroupElement:
     beta, colors = list(range(1, n + 1)), [0] * n
     for i in range(n):
         _turn(beta, colors, m, i, entries[n - 1 - i])
-    return GroupElement(m, n, tuple(beta), tuple(colors))
+    return unchecked(GroupElement, m, n, tuple(beta), tuple(colors))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .group_core import GroupElement
-from .mixed_radix import MixedRadixNumber, decode, encode_width
+from .mixed_radix import MixedRadixNumber, decode, encode_width, unchecked
 
 __all__ = [
     "SubexceedantFunction",
@@ -74,6 +74,8 @@ def psi_inverse(beta: tuple[int, ...]) -> SubexceedantFunction:
     ``i`` a fixed point that the next round ignores.
     """
     n = len(beta)
+    if not n or sorted(beta) != list(range(1, n + 1)):
+        raise ValueError(f"need a permutation of 1..n with n >= 1, got {tuple(beta)}")
     window = list(beta)
     pos = [0] * (n + 1)
     for idx, v in enumerate(window):
@@ -85,7 +87,7 @@ def psi_inverse(beta: tuple[int, ...]) -> SubexceedantFunction:
         window[pi], window[pf] = window[pf], window[pi]
         pos[window[pi]] = pi
         pos[window[pf]] = pf
-    return SubexceedantFunction(tuple(values))
+    return unchecked(SubexceedantFunction, tuple(values))
 
 
 def element_of_digits(d: MixedRadixNumber) -> GroupElement:
@@ -95,9 +97,9 @@ def element_of_digits(d: MixedRadixNumber) -> GroupElement:
     part is the image of ``f`` under the transposition-product bijection.
     """
     m = d.m
-    f = SubexceedantFunction(tuple(digit // m + 1 for digit in d.digits))
+    f = unchecked(SubexceedantFunction, tuple(digit // m + 1 for digit in d.digits))
     colors = tuple(digit % m for digit in d.digits)
-    return GroupElement(m, d.n, psi(f), colors)
+    return unchecked(GroupElement, m, d.n, psi(f), colors)
 
 
 def digits_of_element(w: GroupElement) -> MixedRadixNumber:
@@ -106,7 +108,7 @@ def digits_of_element(w: GroupElement) -> MixedRadixNumber:
     digits = tuple(
         w.m * (fi - 1) + r for fi, r in zip(f.values, w.colors)
     )
-    return MixedRadixNumber(w.m, digits)
+    return unchecked(MixedRadixNumber, w.m, digits)
 
 
 def integer_of_element(w: GroupElement) -> int:

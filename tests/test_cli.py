@@ -173,12 +173,30 @@ def test_parse_errors_exit_2(capsys):
         ("convert", "--m", "2", "--to-int", "\u00b2"),  # superscript two
         ("convert", "--m", "2", "--to-int", "\u0661:0"),  # Arabic-Indic one
         ("rank", "--m", "4", "[\u0663]1"),  # Arabic-Indic three as a color
+        ("rank", "--m", "3", "1 2 3\n"),  # trailing newline in the last entry
     ],
 )
 def test_non_ascii_digits_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("unrank", "--m", "\u0663", "--n", "3", "1"),  # Arabic-Indic three
+        ("convert", "--m", "3", "--to-digits", " 1_0 "),  # spaces, underscore
+        ("unrank", "--m", "3", "--n", "3", "+1"),  # plus sign
+        ("element", "encode", "--m", "3", "--n", "3", "\uff15"),  # fullwidth five
+        ("table", "--m", "2", "--n", "2", "--budget", "1_000"),
+    ],
+)
+def test_numeric_arguments_ascii_only_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_argparse_errors_exit_2():

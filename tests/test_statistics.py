@@ -17,11 +17,13 @@ from gsg.group_core import (
     gen_t,
     group_order,
     identity,
+    inverse,
     longest_element,
     multiply,
     parse_window,
     power,
 )
+from gsg.mixed_radix import MixedRadixNumber, encode, encode_width
 from gsg.statistics import (
     QPolynomial,
     Root,
@@ -43,6 +45,7 @@ from gsg.statistics import (
     rank,
     unrank,
 )
+from gsg.subexceedant import digits_of_element, element_of_integer
 
 W_BIG = "[2]3 [4]1 [1]6 5 [1]4 [2]2"
 
@@ -376,3 +379,20 @@ def test_phi_is_the_flag_generator_product_property(w):
     entries = inversion_table(w).entries
     exps = [entries[w.n - 1 - i] for i in range(w.n)]
     assert phi(w) == sigma_product(w.m, w.n, exps)
+
+
+@given(elements(max_n=60), st.data())
+def test_library_results_pass_the_constructor_checks_property(w, data):
+    # the library builds these without the constructor checks
+    m, n = w.m, w.n
+    order = group_order(m, n)
+    x = data.draw(st.integers(0, order - 1))
+    k = data.draw(st.integers(-10**6, 10**6))
+    v = unrank(data.draw(st.integers(1, order)), m, n)
+    for u in (v, multiply(w, v), inverse(w), power(w, k), phi(w), element_of_integer(x, m, n)):
+        assert GroupElement(u.m, u.n, u.beta, u.colors) == u
+        hash(u)
+    for d in (encode(x, m), encode_width(x, m, n), digits_of_element(w)):
+        assert MixedRadixNumber(d.m, d.digits) == d
+    for i, e in enumerate(inversion_table(w).entries, start=1):
+        assert 0 <= e <= m * (n - i + 1) - 1

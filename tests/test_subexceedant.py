@@ -75,6 +75,10 @@ def test_subexceedant_validation():
         SubexceedantFunction((1, 3))
     with pytest.raises(ValueError):
         SubexceedantFunction(())
+    with pytest.raises(ValueError):
+        psi_inverse((1, 1))
+    with pytest.raises(ValueError):
+        psi_inverse((2, 3))
     assert str(SubexceedantFunction((1, 1, 3))) == "1;1;3"
 
 
