@@ -18,7 +18,7 @@ from .errors import (
     WindowParseError,
 )
 from .group_core import DEFAULT_BUDGET, canonical_length, group_order, parse_window
-from .mixed_radix import MixedRadixNumber, decode, encode
+from .mixed_radix import MixedRadixNumber, decode, encode, unchecked
 from .statistics import fmaj_exponents, inversion_table, poincare, rank, unrank
 from .subexceedant import digits_of_element, element_of_integer, integer_of_element
 from .verify import run_property_checks
@@ -139,7 +139,8 @@ def _cmd_stats(args) -> int:
         "L": sum(table.entries),
         "fmaj": sum(exponents),
         "fmaj_exponents": exponents,
-        "rank": rank(w),
+        # rank: the table, least significant entry first, decoded plus one
+        "rank": decode(unchecked(MixedRadixNumber, w.m, table.entries[::-1])) + 1,
         "subexceedant_digits": str(digits),
         "integer_rep": decode(digits),
     }

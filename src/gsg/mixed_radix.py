@@ -9,11 +9,25 @@ system.  Exactly the integers ``0 .. m**n * n! - 1`` are representable in
 
 All arithmetic is exact (Python ints); values hundreds of decimal digits
 long round-trip bit-exactly.
+
+Conversion is divide and conquer over the product tree of the radices
+``m*(i+1)``.  With ``W(lo, hi)`` the product of the radices at positions
+``lo .. hi-1``, the digits ``[lo, hi)`` decode to ``decode(lo, mid) +
+W(lo, mid) * decode(mid, hi)``, and encoding splits ``x`` by
+``divmod(x, W(lo, mid))``: the remainder gives the low half's digits, the
+quotient the high half's.  Ranges of at most ``_LEAF`` digits run the
+plain digit loop (Horner's rule, successive division).  A digit loop does
+n single-limb steps on an N-bit value, Theta(n*N); the tree does a few
+big-int products or divisions per level, so decoding costs O(M(N) log n)
+with CPython's Karatsuba M(N) = O(N**1.585), and encoding costs CPython's
+multi-limb division, still quadratic in 3.11 but with a far smaller
+constant than one interpreted step per digit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lgamma, log, prod
 
 from .errors import DigitBoundError
 
@@ -92,41 +106,104 @@ def weights(m: int, count: int) -> list[int]:
     return out
 
 
-def encode(x: int, m: int) -> MixedRadixNumber:
-    """Minimal-width digits of ``x``, by the successive-division chain.
+_LEAF = 64  # digit ranges up to this width run the plain loop
 
-    Position ``i`` is the remainder of dividing the running quotient by
-    ``m*(i+1)``; the chain stops at the first zero quotient.  ``encode(0, m)``
-    is the single digit ``(0)``.
+
+def _radix_product(m: int, lo: int, hi: int) -> int:
+    """``W(lo, hi)``: the product of the radices ``m*(i+1)``, ``lo <= i < hi``."""
+    if hi - lo <= _LEAF:
+        return prod(range(m * (lo + 1), m * hi + 1, m))
+    mid = (lo + hi) // 2
+    return _radix_product(m, lo, mid) * _radix_product(m, mid, hi)
+
+
+def _encode(x: int, m: int, lo: int, hi: int, out: list[int]) -> int:
+    """Write the digits of ``x`` at positions ``lo .. hi-1`` into ``out``.
+
+    ``x`` is in units of the weight of position ``lo``; returns the part of
+    it above position ``hi - 1``, which is zero exactly when it fits.
+    """
+    if hi - lo <= _LEAF:
+        for i in range(lo + 1, hi + 1):
+            x, out[i - 1] = divmod(x, m * i)
+        return x
+    mid = (lo + hi) // 2
+    high, low = divmod(x, _radix_product(m, lo, mid))
+    _encode(low, m, lo, mid, out)
+    return _encode(high, m, mid, hi, out)
+
+
+def _decode(m: int, digits: tuple[int, ...], lo: int, hi: int) -> int:
+    """The digits at positions ``lo .. hi-1``, in units of the weight of ``lo``."""
+    if hi - lo <= _LEAF:
+        x = 0
+        for i in range(hi, lo, -1):
+            x = x * (m * i) + digits[i - 1]
+        return x
+    mid = (lo + hi) // 2
+    high = _decode(m, digits, mid, hi)
+    low = _decode(m, digits, lo, mid)
+    # a zero high half (a small value at a large width) needs no product
+    return low + _radix_product(m, lo, mid) * high if high else low
+
+
+def _width(x: int, m: int) -> int:
+    """The smallest ``n >= 1`` with ``x < m**n * n!``: the width of ``encode(x, m)``."""
+    # ln(m**n * n!) = n*ln(m) + lgamma(n+1) rises by at least ln 2 per step
+    # past n = 1, so the float search for where it passes (bit_length - 2)*ln 2
+    # stops a few steps short of the answer; the steps up compare exactly
+    bits = x.bit_length()
+    target = (bits - 2) * log(2)
+    lo, hi = 1, bits + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid * log(m) + lgamma(mid + 1) < target:
+            lo = mid + 1
+        else:
+            hi = mid
+    n = max(1, lo - 1)
+    order = _radix_product(m, 0, n)
+    while order <= x:
+        n += 1
+        order *= m * n
+    return n
+
+
+def encode(x: int, m: int) -> MixedRadixNumber:
+    """Minimal-width digits of ``x``: ``encode_width`` at the smallest width
+    that holds it.  ``encode(0, m)`` is the single digit ``(0)``.
     """
     if x < 0:
         raise ValueError(f"cannot encode negative integer {x}")
     if m < 1:
         raise ValueError(f"radix seed must be >= 1, got {m}")
-    digits = []
-    while x or not digits:
-        x, d = divmod(x, m * (len(digits) + 1))
-        digits.append(d)
-    return unchecked(MixedRadixNumber, m, tuple(digits))
+    return encode_width(x, m, _width(x, m))
 
 
 def encode_width(x: int, m: int, n: int) -> MixedRadixNumber:
     """Exactly ``n`` digits of ``x``, zero-padded at the high end.
 
-    Raises OverflowError when ``x >= m**n * n!``, i.e. when ``x`` does not
-    fit in ``n`` digits.
+    Position ``i`` is the remainder of dividing by ``m*(i+1)`` what the
+    lower positions leave.  Raises OverflowError when ``x >= m**n * n!``,
+    i.e. when ``x`` does not fit in ``n`` digits.
     """
     if n < 1:
         raise ValueError(f"width must be >= 1, got {n}")
-    minimal = encode(x, m)
-    if minimal.n > n:
-        raise OverflowError(f"{x} needs {minimal.n} digits, only {n} allowed")
-    return unchecked(MixedRadixNumber, m, minimal.digits + (0,) * (n - minimal.n))
+    if x < 0:
+        raise ValueError(f"cannot encode negative integer {x}")
+    if m < 1:
+        raise ValueError(f"radix seed must be >= 1, got {m}")
+    digits = [0] * n
+    # every radix past the first is at least 2, so x < m**k * k! at
+    # k = bit_length + 1 and the positions above k are zero
+    if _encode(x, m, 0, min(n, x.bit_length() + 1), digits):
+        # the bit length, not the value: a decimal past 4300 digits would raise
+        raise OverflowError(
+            f"an integer of {x.bit_length()} bits needs {_width(x, m)} digits, only {n} allowed"
+        )
+    return unchecked(MixedRadixNumber, m, tuple(digits))
 
 
 def decode(d: MixedRadixNumber) -> int:
-    """The integer sum of digit times positional weight, by Horner's rule."""
-    x = 0
-    for i, digit in zip(range(d.n, 0, -1), reversed(d.digits)):
-        x = x * (d.m * i) + digit
-    return x
+    """The integer sum of digit times positional weight."""
+    return _decode(d.m, d.digits, 0, d.n)

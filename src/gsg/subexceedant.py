@@ -76,6 +76,12 @@ def psi_inverse(beta: tuple[int, ...]) -> SubexceedantFunction:
     n = len(beta)
     if not n or sorted(beta) != list(range(1, n + 1)):
         raise ValueError(f"need a permutation of 1..n with n >= 1, got {tuple(beta)}")
+    return unchecked(SubexceedantFunction, _reduce(beta))
+
+
+def _reduce(beta: tuple[int, ...]) -> tuple[int, ...]:
+    """The values of ``psi_inverse(beta)`` for a permutation ``beta`` already checked."""
+    n = len(beta)
     window = list(beta)
     pos = [0] * (n + 1)
     for idx, v in enumerate(window):
@@ -87,7 +93,7 @@ def psi_inverse(beta: tuple[int, ...]) -> SubexceedantFunction:
         window[pi], window[pf] = window[pf], window[pi]
         pos[window[pi]] = pi
         pos[window[pf]] = pf
-    return unchecked(SubexceedantFunction, tuple(values))
+    return tuple(values)
 
 
 def element_of_digits(d: MixedRadixNumber) -> GroupElement:
@@ -104,10 +110,7 @@ def element_of_digits(d: MixedRadixNumber) -> GroupElement:
 
 def digits_of_element(w: GroupElement) -> MixedRadixNumber:
     """Inverse of :func:`element_of_digits`: ``d_{i-1} = m*(f(i)-1) + color_i``."""
-    f = psi_inverse(w.beta)
-    digits = tuple(
-        w.m * (fi - 1) + r for fi, r in zip(f.values, w.colors)
-    )
+    digits = tuple(w.m * (fi - 1) + r for fi, r in zip(_reduce(w.beta), w.colors))
     return unchecked(MixedRadixNumber, w.m, digits)
 
 

@@ -6,6 +6,8 @@ from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gsg.cli import main
 from gsg.mixed_radix import MixedRadixNumber, decode, encode
@@ -287,4 +289,30 @@ def test_text_encode_past_str_digit_limit(capsys):
     assert run_at_default_limit(capsys, "text-encode", "--m", "7", text)[:2] == (
         0,
         f"{codes}\n{digits}\n{digits.n}\n",
+    )
+
+
+# capsys is read out after every command, so sharing it across examples is safe
+@settings(
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.integers(1, 6), st.integers(1, 2000) | st.just(2000), st.data())
+def test_cli_roundtrips_property(capsys, m, n, data):
+    order = m**n * factorial(n)
+    rnd = data.draw(st.randoms(use_true_random=False))
+    x = data.draw(st.integers(0, order - 1) | st.just(rnd.randrange(order)))
+    text = with_int_limit(0, str, x)
+    code, window, _ = run(capsys, "element", "encode", "--m", str(m), "--n", str(n), text)
+    assert code == 0
+    assert run(capsys, "element", "decode", "--m", str(m), window.strip())[:2] == (
+        0,
+        text + "\n",
+    )
+    code, digits, _ = run(capsys, "convert", "--m", str(m), "--to-digits", text)
+    assert code == 0
+    assert run(capsys, "convert", "--m", str(m), "--to-int", digits.strip())[:2] == (
+        0,
+        text + "\n",
     )

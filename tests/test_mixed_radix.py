@@ -3,11 +3,35 @@
 from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsg.errors import DigitBoundError
-from gsg.mixed_radix import MixedRadixNumber, decode, encode, encode_width, weights
+from gsg.mixed_radix import (
+    _LEAF,
+    MixedRadixNumber,
+    decode,
+    encode,
+    encode_width,
+    weights,
+)
+
+
+def division_oracle(x, m):
+    """Minimal-width digits of ``x`` by the successive-division chain."""
+    digits = []
+    while x or not digits:
+        x, d = divmod(x, m * (len(digits) + 1))
+        digits.append(d)
+    return tuple(digits)
+
+
+def horner_oracle(m, digits):
+    """The integer of a digit tuple (least significant first) by Horner's rule."""
+    x = 0
+    for i, digit in zip(range(len(digits), 0, -1), reversed(digits)):
+        x = x * (m * i) + digit
+    return x
 
 
 def test_weights_against_direct_product():
@@ -143,3 +167,52 @@ def test_roundtrip_property(x, m):
 @given(x=st.integers(min_value=0, max_value=10**300))
 def test_roundtrip_huge(x):
     assert decode(encode(x, 7)) == x
+
+
+# widths on both sides of the leaf of the divide-and-conquer codec, and up to
+# many leaves; the largest orders run to about 40,000 bits
+WIDTHS = st.integers(1, 3000) | st.sampled_from(
+    (_LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF, 2 * _LEAF + 1)
+)
+
+
+def below(order):
+    """Integers in ``0 .. order-1``: hypothesis's own picks, which favour
+    small values, or uniform over the range, which fill every digit."""
+    uniform = st.randoms(use_true_random=False).map(lambda rnd: rnd.randrange(order))
+    return st.integers(0, order - 1) | uniform
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), WIDTHS, st.data())
+def test_encode_width_matches_division_oracle_property(m, n, data):
+    x = data.draw(below(m**n * factorial(n)))
+    minimal = division_oracle(x, m)
+    assert encode(x, m).digits == minimal
+    assert encode_width(x, m, n).digits == minimal + (0,) * (n - len(minimal))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), WIDTHS, st.data())
+def test_decode_matches_horner_oracle_property(m, n, data):
+    # digits outside ``bottom .. top-1`` are zero, so halves that decode to 0 occur
+    bottom, top = sorted(data.draw(st.tuples(st.integers(0, n), st.integers(0, n))))
+    rnd = data.draw(st.randoms(use_true_random=False))
+    digits = tuple(
+        rnd.randrange(m * (i + 1)) if bottom <= i < top else 0 for i in range(n)
+    )
+    assert decode(MixedRadixNumber(m, digits)) == horner_oracle(m, digits)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), WIDTHS)
+def test_codec_boundaries_property(m, n):
+    order = m**n * factorial(n)
+    assert encode_width(0, m, n).digits == (0,) * n
+    top = encode_width(order - 1, m, n)
+    assert top.digits == tuple(m * (i + 1) - 1 for i in range(n))
+    assert decode(top) == order - 1
+    assert encode(order - 1, m).digits == top.digits
+    with pytest.raises(OverflowError):
+        encode_width(order, m, n)
+    assert encode(order, m).digits == division_oracle(order, m)
