@@ -7,7 +7,9 @@ anchor coordinate this gives the i-inversion numbers, whose vector is a
 valid mixed-radix digit string.  The library computes those numbers in
 closed form, in one pass over the window, and the length as their sum;
 counting roots is kept as the oracle (:func:`length_L_oracle`,
-:func:`inv_oracle`).  Decoding the digit string (plus one) ranks the
+:func:`inv_oracle`).  The oracles classify roots as plain ``(a, j, b, l)``
+int tuples; ``gsg verify`` builds each group's root lists once and counts
+every element against them.  Decoding the digit string (plus one) ranks the
 group, and reading it as flag-generator exponents transports the length
 statistic onto the flag-major index.
 """
@@ -80,31 +82,40 @@ def all_roots(m: int, n: int) -> set[Root]:
     }
 
 
+def _delta_roots(m: int, n: int) -> list[tuple[int, int, int, int]]:
+    """The simple-side set as ``(a, j, b, l)`` tuples; see :func:`delta`."""
+    _require_radix(m)
+    return [
+        (0, j, k, l)
+        for j in range(1, n + 1)
+        for l in range(1, j + 1)
+        for k in range(m)
+        if l != j or k != 0
+    ]
+
+
+def _block_roots(m: int, n: int, i: int) -> list[tuple[int, int, int, int]]:
+    """The i-th block as ``(a, j, b, l)`` tuples; see :func:`delta_block`."""
+    _require_radix(m)
+    if not 1 <= i <= n:
+        raise IndexOutOfRange(f"block index {i} outside 1..{n}")
+    p = n + 1 - i
+    return [(0, p, k, p) for k in range(1, m)] + [
+        (0, p, k, j) for j in range(1, p) for k in range(m)
+    ]
+
+
 def delta(m: int, n: int) -> set[Root]:
     """The simple-side set: ``e_j`` minus any colored ``e_l`` with ``l <= j``.
 
     The degenerate color-0 same-index term is excluded (it is not a root).
     """
-    _require_radix(m)
-    out = set()
-    for j in range(1, n + 1):
-        for l in range(1, j + 1):
-            for k in range(m):
-                if l == j and k == 0:
-                    continue
-                out.add(Root(0, j, k, l))
-    return out
+    return {Root(*r) for r in _delta_roots(m, n)}
 
 
 def delta_block(m: int, n: int, i: int) -> set[Root]:
     """The block of the simple-side set anchored at coordinate ``n+1-i``."""
-    _require_radix(m)
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(f"block index {i} outside 1..{n}")
-    p = n + 1 - i
-    out = {Root(0, p, k, p) for k in range(1, m)}
-    out |= {Root(0, p, k, j) for j in range(1, p) for k in range(m)}
-    return out
+    return {Root(*r) for r in _block_roots(m, n, i)}
 
 
 def is_negative(r: Root) -> bool:
@@ -143,14 +154,32 @@ def length_L(w: GroupElement) -> int:
     return sum(_inversions(w))
 
 
+def _negatives(w: GroupElement, roots: list[tuple[int, int, int, int]]) -> int:
+    """How many of ``roots``, as ``(a, j, b, l)`` tuples, ``w`` sends negative.
+
+    :func:`act` and the three cases of :func:`is_negative`, on plain ints.
+    """
+    m, beta, colors = w.m, w.beta, w.colors
+    count = 0
+    for a, j, b, l in roots:
+        vj, vl = beta[j - 1], beta[l - 1]
+        if vj == vl:
+            count += (a + colors[j - 1]) % m > (b + colors[l - 1]) % m
+        elif vj > vl:
+            count += (a + colors[j - 1]) % m != 0
+        else:
+            count += (b + colors[l - 1]) % m == 0
+    return count
+
+
 def length_L_oracle(w: GroupElement) -> int:
     """Number of simple-side roots sent negative, by direct counting."""
-    return sum(1 for r in delta(w.m, w.n) if is_negative(act(w, r)))
+    return _negatives(w, _delta_roots(w.m, w.n))
 
 
 def inv_oracle(w: GroupElement, i: int) -> int:
     """i-inversions by direct root counting over the i-th block."""
-    return sum(1 for r in delta_block(w.m, w.n, i) if is_negative(act(w, r)))
+    return _negatives(w, _block_roots(w.m, w.n, i))
 
 
 def inv_closed(w: GroupElement, i: int) -> int:

@@ -14,12 +14,12 @@ from .group_core import (
     power,
 )
 from .statistics import (
-    fmaj,
+    _block_roots,
+    _delta_roots,
+    _negatives,
     histogram,
     inv_closed,
-    inv_oracle,
     inversion_table,
-    length_L_oracle,
     poincare,
     rank,
     unrank,
@@ -56,9 +56,10 @@ def _check_presentation(m: int, n: int) -> bool:
 
 
 def _check_oracle_agreement(m: int, n: int, budget: int) -> bool:
+    blocks = [_block_roots(m, n, i) for i in range(1, n + 1)]
     for w in enumerate_group(m, n, budget):
-        for i in range(1, n + 1):
-            if inv_oracle(w, i) != inv_closed(w, i):
+        for i, roots in enumerate(blocks, start=1):
+            if _negatives(w, roots) != inv_closed(w, i):
                 return False
     return True
 
@@ -74,8 +75,9 @@ def _check_rank_bijection(m: int, n: int, budget: int) -> bool:
 
 
 def _check_length_additivity(m: int, n: int, budget: int) -> bool:
+    roots = _delta_roots(m, n)
     for w in enumerate_group(m, n, budget):
-        if sum(inversion_table(w).entries) != length_L_oracle(w):
+        if sum(inversion_table(w).entries) != _negatives(w, roots):
             return False
     return True
 
@@ -90,7 +92,8 @@ def _check_equidistribution(m: int, n: int, budget: int) -> bool:
 def _check_inverse_law(m: int, n: int, budget: int) -> bool:
     e = identity(m, n)
     for w in enumerate_group(m, n, budget):
-        if multiply(inverse(w), w) != e or multiply(w, inverse(w)) != e:
+        v = inverse(w)
+        if multiply(v, w) != e or multiply(w, v) != e:
             return False
     return True
 

@@ -9,8 +9,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import gsg.verify
 from gsg.cli import main
+from gsg.group_core import parse_window
 from gsg.mixed_radix import MixedRadixNumber, decode, encode
+from gsg.statistics import InversionTable
+from gsg.verify import run_property_checks
 
 GOLDEN = Path(__file__).parent / "data" / "table_3_3_golden.csv"
 
@@ -133,6 +137,33 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--m", "2", "--n", "2")
     assert code == 1
     assert "FAIL forced" in out
+
+
+def assert_only_check_fails(name):
+    results = dict(run_property_checks(3, 3))
+    assert results.pop(name) is False
+    assert all(results.values()), results
+
+
+def test_verify_oracle_agreement_catches_one_wrong_inversion_number(monkeypatch):
+    real, target = gsg.verify.inv_closed, parse_window("[2]3 [1]1 2", 3)
+    monkeypatch.setattr(
+        gsg.verify, "inv_closed", lambda w, i: real(w, i) + (w == target and i == 1)
+    )
+    assert_only_check_fails("oracle agreement")
+
+
+def test_verify_length_additivity_catches_one_wrong_inversion_table(monkeypatch):
+    real, target = gsg.verify.inversion_table, parse_window("[2]3 [1]1 2", 3)
+
+    def off_by_one(w):
+        t = real(w)
+        if w != target:
+            return t
+        return InversionTable(t.m, t.n, (t.entries[0] + 1,) + t.entries[1:])
+
+    monkeypatch.setattr(gsg.verify, "inversion_table", off_by_one)
+    assert_only_check_fails("length additivity")
 
 
 def test_text_encode(capsys):

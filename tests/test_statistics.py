@@ -27,6 +27,9 @@ from gsg.mixed_radix import MixedRadixNumber, encode, encode_width
 from gsg.statistics import (
     QPolynomial,
     Root,
+    _block_roots,
+    _delta_roots,
+    _negatives,
     act,
     all_roots,
     delta,
@@ -106,6 +109,10 @@ def test_radix_one_rejected():
         delta(1, 3)
     with pytest.raises(UnsupportedRadix):
         length_L(identity(1, 3))
+    with pytest.raises(UnsupportedRadix):
+        length_L_oracle(identity(1, 3))
+    with pytest.raises(UnsupportedRadix):
+        inv_oracle(identity(1, 3), 1)
 
 
 def test_is_negative_examples():
@@ -142,6 +149,9 @@ def test_inversion_examples():
     assert str(inversion_table(big)) == "11:13:1:11:5:2"
     with pytest.raises(IndexOutOfRange):
         inv_closed(w, 4)
+    for i in (0, 4):
+        with pytest.raises(IndexOutOfRange):
+            inv_oracle(w, i)
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
@@ -156,6 +166,31 @@ def test_oracle_matches_closed_form_exhaustive(m, n):
 def test_length_closed_form_matches_root_count_exhaustive(m, n):
     for w in enumerate_group(m, n):
         assert length_L(w) == length_L_oracle(w)
+
+
+def root_count(w, roots):
+    """Oracle: the single-root definitions, one ``Root`` at a time."""
+    return sum(1 for r in roots if is_negative(act(w, r)))
+
+
+def assert_tuple_counter_matches_roots(w):
+    m, n = w.m, w.n
+    assert _negatives(w, _delta_roots(m, n)) == root_count(w, delta(m, n))
+    for i in range(1, n + 1):
+        assert _negatives(w, _block_roots(m, n, i)) == root_count(w, delta_block(m, n, i))
+
+
+@pytest.mark.parametrize("m,n", [(2, 4), (3, 3), (4, 3)])
+def test_tuple_root_counter_matches_root_classifier_exhaustive(m, n):
+    assert {Root(*t) for t in _delta_roots(m, n)} == delta(m, n)
+    for i in range(1, n + 1):
+        assert {Root(*t) for t in _block_roots(m, n, i)} == delta_block(m, n, i)
+    # one root at a time too: a block count cannot see a color taken from the wrong index
+    roots = [(r.a, r.j, r.b, r.l) for r in all_roots(m, n)]
+    for w in enumerate_group(m, n):
+        assert_tuple_counter_matches_roots(w)
+        for t in roots:
+            assert _negatives(w, [t]) == is_negative(act(w, Root(*t)))
 
 
 def test_oracle_matches_closed_form_random_big():
@@ -346,6 +381,11 @@ def test_length_closed_form_matches_root_count_property(w):
     assert length_L(w) == length_L_oracle(w)
 
 
+@given(elements(min_m=2, max_m=6, max_n=10))
+def test_tuple_root_counter_matches_root_classifier_property(w):
+    assert_tuple_counter_matches_roots(w)
+
+
 @given(elements())
 def test_inversion_table_matches_per_index_closed_form_property(w):
     entries = tuple(inv_closed(w, i) for i in range(1, w.n + 1))
@@ -354,7 +394,10 @@ def test_inversion_table_matches_per_index_closed_form_property(w):
 
 @given(st.integers(1, 6), st.integers(1, 300), st.data())
 def test_rank_inverts_unrank_property(m, n, data):
-    r = data.draw(st.integers(1, group_order(m, n)))
+    # hypothesis's own picks favour small ranks; the uniform ones fill every digit
+    order = group_order(m, n)
+    uniform = st.randoms(use_true_random=False).map(lambda rnd: rnd.randint(1, order))
+    r = data.draw(st.integers(1, order) | uniform)
     assert rank(unrank(r, m, n)) == r
 
 
