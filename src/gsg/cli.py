@@ -17,7 +17,7 @@ from .errors import (
     RankOutOfRange,
     WindowParseError,
 )
-from .group_core import DEFAULT_BUDGET, canonical_length, group_order, parse_window
+from .group_core import DEFAULT_BUDGET, _require_budget, canonical_length, parse_window
 from .mixed_radix import MixedRadixNumber, decode, encode, unchecked
 from .statistics import fmaj_exponents, inversion_table, poincare, rank, unrank
 from .subexceedant import digits_of_element, element_of_integer, integer_of_element
@@ -151,13 +151,9 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    order = group_order(args.m, args.n)
-    if order > args.budget:
-        raise BudgetExceeded(f"group order {order} exceeds budget {args.budget}")
-    rows = []
-    for r in range(1, order + 1):
-        w = unrank(r, args.m, args.n)
-        rows.append((r, w.window(), str(inversion_table(w))))
+    order = _require_budget(args.m, args.n, args.budget)
+    elements = (unrank(r, args.m, args.n) for r in range(1, order + 1))
+    rows = ((r, w.window(), str(inversion_table(w))) for r, w in enumerate(elements, 1))
     if args.format == "csv":
         for r, window, inv in rows:
             print(f"{r},{window},{inv}")

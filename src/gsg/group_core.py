@@ -92,6 +92,17 @@ def group_order(m: int, n: int) -> int:
     return m**n * factorial(n)
 
 
+def _require_budget(m: int, n: int, budget: int) -> int:
+    """The order m^n n!, or :class:`BudgetExceeded` once the product of the
+    radices m*i passes ``budget``: O(log budget) steps for any n."""
+    order = 1
+    for i in range(1, n + 1):
+        order *= m * i
+        if order > budget:
+            raise BudgetExceeded(f"order of G({m},1,{n}) exceeds budget {budget}")
+    return order
+
+
 def identity(m: int, n: int) -> GroupElement:
     return GroupElement(m, n, tuple(range(1, n + 1)), (0,) * n)
 
@@ -197,9 +208,7 @@ def canonical_length(w: GroupElement, budget: int = DEFAULT_BUDGET) -> int:
     letters ``t_1, s_1, .., s_{n-1}`` only (no formal inverses: the
     transpositions are involutions and ``t_1`` has finite order).
     """
-    order = group_order(w.m, w.n)
-    if order > budget:
-        raise BudgetExceeded(f"group order {order} exceeds budget {budget}")
+    _require_budget(w.m, w.n, budget)
     gens = _standard_generators(w.m, w.n)
     start = identity(w.m, w.n)
     if w == start:
@@ -229,9 +238,7 @@ def enumerate_group(
 
     The budget is checked at call time, not at first iteration.
     """
-    order = group_order(m, n)
-    if order > budget:
-        raise BudgetExceeded(f"group order {order} exceeds budget {budget}")
+    _require_budget(m, n, budget)
 
     def generate():
         for beta in itertools.permutations(range(1, n + 1)):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import gsg.verify
 from gsg.cli import main
+from gsg.errors import BudgetExceeded
 from gsg.group_core import parse_window
 from gsg.mixed_radix import MixedRadixNumber, decode, encode
 from gsg.statistics import InversionTable
@@ -129,6 +130,39 @@ def test_verify_passes(capsys):
     assert lines and all(line.startswith("PASS") for line in lines)
 
 
+VERIFY_3_3 = """\
+PASS presentation relations
+PASS oracle agreement
+PASS inverse law
+PASS rank bijection
+PASS equidistribution inv/fmaj/poincare
+PASS length additivity
+"""
+
+# with m = 1 there are no roots, so no root-count checks
+VERIFY_1_4 = """\
+PASS presentation relations
+PASS inverse law
+PASS rank bijection
+PASS equidistribution inv/fmaj/poincare
+"""
+
+
+@pytest.mark.parametrize("m,n,expected", [(3, 3, VERIFY_3_3), (1, 4, VERIFY_1_4)])
+def test_verify_exact_output(capsys, m, n, expected):
+    assert run(capsys, "verify", "--m", str(m), "--n", str(n))[:2] == (0, expected)
+
+
+def test_verify_checks_budget_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("group arithmetic ran before the budget check")
+
+    monkeypatch.setattr(gsg.verify, "multiply", no_work)
+    monkeypatch.setattr(gsg.verify, "power", no_work)
+    with pytest.raises(BudgetExceeded):
+        run_property_checks(2, 60, budget=10)
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(
         "gsg.cli.run_property_checks",
@@ -164,6 +198,21 @@ def test_verify_length_additivity_catches_one_wrong_inversion_table(monkeypatch)
 
     monkeypatch.setattr(gsg.verify, "inversion_table", off_by_one)
     assert_only_check_fails("length additivity")
+
+
+def test_verify_inverse_law_catches_one_wrong_inverse(monkeypatch):
+    real, target = gsg.verify.inverse, parse_window("[2]3 [1]1 2", 3)
+    # target is a 3-cycle, so it is not its own inverse
+    monkeypatch.setattr(gsg.verify, "inverse", lambda w: w if w == target else real(w))
+    assert_only_check_fails("inverse law")
+
+
+def test_verify_rank_bijection_catches_one_wrong_unrank(monkeypatch):
+    real = gsg.verify.unrank
+    monkeypatch.setattr(
+        gsg.verify, "unrank", lambda r, m, n: real(6 if r == 5 else r, m, n)
+    )
+    assert_only_check_fails("rank bijection")
 
 
 def test_text_encode(capsys):
@@ -257,6 +306,9 @@ def test_budget_errors_exit_4(capsys):
         capsys, "stats", "--m", "3", "--bfs", "--budget", "10", "1 [1]2 3"
     )
     assert code == 4
+    code, out, err = run(capsys, "verify", "--m", "2", "--n", "60", "--budget", "10")
+    assert code == 4
+    assert out == "" and err.count("\n") == 1
 
 
 def test_cli_roundtrips(capsys):

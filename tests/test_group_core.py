@@ -1,6 +1,7 @@
 """Group arithmetic tests: presentation relations, word lengths, text format."""
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import given
@@ -143,6 +144,28 @@ def test_enumerate_budget():
         enumerate_group(3, 8, budget=1000)  # raises at call time, not first next()
     with pytest.raises(BudgetExceeded):
         canonical_length(identity(3, 8), budget=1000)
+
+
+@pytest.mark.parametrize(
+    "limit", sorted({0, getattr(sys.int_info, "default_max_str_digits", 0)})
+)
+def test_budget_message_is_short_at_any_str_digit_limit(limit):
+    # the order of G(2,1,2000) has over 6000 decimal digits
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    old = sys.get_int_max_str_digits() if set_limit else None
+    if set_limit:
+        set_limit(limit)
+    try:
+        for call in (
+            lambda: enumerate_group(2, 2000, 10),
+            lambda: canonical_length(identity(2, 2000), 10),
+        ):
+            with pytest.raises(BudgetExceeded) as exc:
+                call()
+            assert len(str(exc.value)) < 200
+    finally:
+        if set_limit:
+            set_limit(old)
 
 
 @pytest.mark.parametrize("m", [2, 3])
