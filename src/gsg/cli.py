@@ -158,9 +158,12 @@ def _cmd_table(args) -> int:
         for r, window, inv in rows:
             print(f"{r},{window},{inv}")
     else:
-        print(json.dumps(
-            [{"rank": r, "window": window, "inv_table": inv} for r, window, inv in rows]
-        ))
+        # one row at a time, byte-identical to json.dumps of the whole list
+        sep = "["
+        for r, window, inv in rows:
+            print(sep + json.dumps({"rank": r, "window": window, "inv_table": inv}), end="")
+            sep = ", "
+        print("]")
     return EXIT_OK
 
 

@@ -271,38 +271,31 @@ def unrank(r: int, m: int, n: int) -> GroupElement:
     return unchecked(GroupElement, m, n, tuple(beta), tuple(colors))
 
 
-def _turn(beta: list[int], colors: list[int], m: int, i: int, k: int) -> None:
-    """Apply the k-th power of the i-th flag generator to positions 1..i+1.
-
-    Those positions must hold the values 1..i+1.  The generator sends
-    ``(v, c)`` to ``(v-1, c)`` for ``2 <= v <= i+1`` and ``(1, c)`` to
-    ``(i+1, c+1)``: one cycle of length m(i+1) on which ``(v, c)`` has index
-    ``c*(i+1) + (i+1-v)``, so the power adds k to that index.
-    """
-    size = i + 1
-    for p in range(size):
-        c, r = divmod((colors[p] * size + size - beta[p] + k) % (m * size), size)
-        beta[p] = size - r
-        colors[p] = c
-
-
 def fmaj_exponents(w: GroupElement) -> list[int]:
     """Exponents of the unique flag-generator factorization.
 
     ``w`` is the product of the i-th flag generator to the power ``e_i``,
-    i = n-1 down to 0.  Generators below i fix i+1, so ``e_i`` is the cycle
-    index (see :func:`_turn`) of the entry at position i+1; turning
-    positions 1..i+1 back by ``e_i`` divides that power out.  What is left
-    is a color rotation at position 1, giving ``e_0``.  O(n^2), with no
-    group products; the product of ``gen_sigma`` powers is the test oracle.
+    i = n-1 down to 0.  Peeling a power off position p = i+1 keeps the rest
+    in cyclic order and lowers their colors by its color, plus 1 above its
+    value: ``e_i`` follows from the counts ``s_p`` of earlier smaller values,
+    the colors and the descents.  One bisect pass; :func:`phi` walks it back.
     """
     m, n = w.m, w.n
-    beta, colors = list(w.beta), list(w.colors)
+    earlier: list[int] = []
+    below = []
+    for b in w.beta:
+        s = bisect_left(earlier, b)
+        earlier.insert(s, b)
+        below.append(s)
     exps = [0] * n
-    for i in range(n - 1, 0, -1):
-        exps[i] = colors[i] * (i + 1) + (i + 1 - beta[i])
-        _turn(beta, colors, m, i, -exps[i])
-    exps[0] = colors[0]
+    taken, s_next, prev = 0, 0, n + 1
+    for p in range(n, 0, -1):
+        b, s = w.beta[p - 1], below[p - 1]
+        taken += b > prev  # a descent at p
+        c = (w.colors[p - 1] - taken) % m
+        exps[p - 1] = c * p + (s_next - s - 1) % p
+        taken += c
+        s_next, prev = s, b
     return exps
 
 
@@ -314,17 +307,21 @@ def fmaj(w: GroupElement) -> int:
 def phi(w: GroupElement) -> GroupElement:
     """The bijection carrying the inversion statistic onto the flag-major index.
 
-    Reads the inversion table as flag-generator exponents, top down: the
-    image is the product of the i-th flag generator to the power
-    ``entries[n-1-i]``, i = n-1 down to 0.  Built from the identity by
-    turning positions 1..i+1 for i = 0 up (see :func:`_turn`) in O(n^2); the
-    product of ``gen_sigma`` powers is the test oracle.
+    Its flag-generator exponents are ``w``'s i-inversion numbers: the walk of
+    :func:`fmaj_exponents` backwards, picking values as :func:`unrank` does.
     """
     m, n = w.m, w.n
-    entries = inversion_table(w).entries
-    beta, colors = list(range(1, n + 1)), [0] * n
-    for i in range(n):
-        _turn(beta, colors, m, i, entries[n - 1 - i])
+    remaining = list(range(1, n + 1))
+    beta, colors = [0] * n, [0] * n
+    taken, s, prev = 0, 0, n + 1
+    for p, e in zip(range(n, 0, -1), reversed(_inversions(w))):
+        c, r = divmod(e, p)
+        s = (s - r - 1) % p
+        b = beta[p - 1] = remaining.pop(s)
+        taken += b > prev  # a descent at p
+        colors[p - 1] = (c + taken) % m
+        taken += c
+        prev = b
     return unchecked(GroupElement, m, n, tuple(beta), tuple(colors))
 
 

@@ -14,7 +14,7 @@ from gsg.cli import main
 from gsg.errors import BudgetExceeded
 from gsg.group_core import parse_window
 from gsg.mixed_radix import MixedRadixNumber, decode, encode
-from gsg.statistics import InversionTable
+from gsg.statistics import InversionTable, inversion_table, unrank
 from gsg.verify import run_property_checks
 
 GOLDEN = Path(__file__).parent / "data" / "table_3_3_golden.csv"
@@ -114,6 +114,17 @@ def test_table_json(capsys):
     rows = json.loads(out)
     assert len(rows) == 8
     assert rows[0] == {"rank": 1, "window": "1 2", "inv_table": "0:0"}
+
+
+def test_table_json_streams_the_bytes_of_one_dump(capsys):
+    code, out, _ = run(capsys, "table", "--m", "2", "--n", "3", "--format", "json")
+    assert code == 0
+    ws = [unrank(r, 2, 3) for r in range(1, 49)]
+    rows = [
+        {"rank": r, "window": w.window(), "inv_table": str(inversion_table(w))}
+        for r, w in enumerate(ws, 1)
+    ]
+    assert out == json.dumps(rows) + "\n"
 
 
 def test_poincare(capsys):

@@ -5,7 +5,7 @@ import random
 from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsg.errors import IndexOutOfRange, RankOutOfRange, UnsupportedRadix
@@ -439,3 +439,82 @@ def test_library_results_pass_the_constructor_checks_property(w, data):
         assert MixedRadixNumber(d.m, d.digits) == d
     for i, e in enumerate(inversion_table(w).entries, start=1):
         assert 0 <= e <= m * (n - i + 1) - 1
+
+
+def turn_oracle(beta, colors, m, i, k):
+    """Apply the k-th power of the i-th flag generator to positions 1..i+1.
+
+    Those positions must hold the values 1..i+1.  The generator sends
+    ``(v, c)`` to ``(v-1, c)`` for ``2 <= v <= i+1`` and ``(1, c)`` to
+    ``(i+1, c+1)``: one cycle of length m(i+1) on which ``(v, c)`` has index
+    ``c*(i+1) + (i+1-v)``, so the power adds k to that index.
+    """
+    size = i + 1
+    for p in range(size):
+        c, r = divmod((colors[p] * size + size - beta[p] + k) % (m * size), size)
+        beta[p] = size - r
+        colors[p] = c
+
+
+def fmaj_exponents_oracle(w):
+    """Oracle: read ``e_i`` as a cycle index, then turn positions 1..i+1 back; O(n^2)."""
+    beta, colors = list(w.beta), list(w.colors)
+    exps = [0] * w.n
+    for i in range(w.n - 1, 0, -1):
+        exps[i] = colors[i] * (i + 1) + (i + 1 - beta[i])
+        turn_oracle(beta, colors, w.m, i, -exps[i])
+    exps[0] = colors[0]
+    return exps
+
+
+def phi_oracle(w):
+    """Oracle: turn the identity by the inversion table, i = 0 up; O(n^2)."""
+    entries = inversion_table(w).entries
+    beta, colors = list(range(1, w.n + 1)), [0] * w.n
+    for i in range(w.n):
+        turn_oracle(beta, colors, w.m, i, entries[w.n - 1 - i])
+    return GroupElement(w.m, w.n, tuple(beta), tuple(colors))
+
+
+def adin_roichman_fmaj(w):
+    """Oracle: ``m * maj + sum(colors)``, descents read on the key ``(-color, value)``."""
+    key = [(-c, b) for b, c in zip(w.beta, w.colors)]
+    maj = sum(i + 1 for i in range(w.n - 1) if key[i] > key[i + 1])
+    return w.m * maj + sum(w.colors)
+
+
+@pytest.mark.parametrize(
+    "m,n", [(1, 5), (1, 6), (2, 4), (2, 5), (3, 3), (3, 4), (4, 3), (5, 3)]
+)
+def test_flag_walk_matches_turn_oracle_exhaustive(m, n):
+    for w in enumerate_group(m, n):
+        assert fmaj_exponents(w) == fmaj_exponents_oracle(w)
+        assert phi(w) == phi_oracle(w)
+
+
+@given(elements())
+def test_flag_walk_matches_turn_oracle_property(w):
+    assert fmaj_exponents(w) == fmaj_exponents_oracle(w)
+    assert phi(w) == phi_oracle(w)
+
+
+@st.composite
+def large_elements(draw, max_n=2000):
+    # a seeded shuffle: per-entry hypothesis draws would dominate the run time at n = 2000
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, max_n))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    beta = rnd.sample(range(1, n + 1), n)
+    return GroupElement(m, n, tuple(beta), tuple(rnd.randrange(m) for _ in beta))
+
+
+@settings(deadline=None)
+@given(large_elements())
+def test_fmaj_matches_adin_roichman_property(w):
+    assert fmaj(w) == adin_roichman_fmaj(w)
+
+
+@settings(deadline=None)
+@given(large_elements())
+def test_phi_transports_inversion_table_to_exponents_property(w):
+    assert fmaj_exponents(phi(w)) == list(inversion_table(w).entries[::-1])
