@@ -7,7 +7,6 @@ error, 4 budget exceeded.  Results go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 
@@ -18,7 +17,7 @@ from .errors import (
     WindowParseError,
 )
 from .group_core import DEFAULT_BUDGET, _require_budget, canonical_length, parse_window
-from .mixed_radix import MixedRadixNumber, decode, encode, unchecked
+from .mixed_radix import MixedRadixNumber, decode, encode
 from .statistics import fmaj_exponents, inversion_table, poincare, rank, unrank
 from .subexceedant import digits_of_element, element_of_integer, integer_of_element
 from .verify import run_property_checks
@@ -129,6 +128,8 @@ def _cmd_unrank(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    import json  # only the JSON-printing commands pay for it
+
     w = parse_window(args.window, args.m)
     table = inversion_table(w)
     exponents = fmaj_exponents(w)
@@ -140,7 +141,7 @@ def _cmd_stats(args) -> int:
         "fmaj": sum(exponents),
         "fmaj_exponents": exponents,
         # rank: the table, least significant entry first, decoded plus one
-        "rank": decode(unchecked(MixedRadixNumber, w.m, table.entries[::-1])) + 1,
+        "rank": decode(MixedRadixNumber._unchecked(w.m, table.entries[::-1])) + 1,
         "subexceedant_digits": str(digits),
         "integer_rep": decode(digits),
     }
@@ -151,6 +152,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    import json
+
     order = _require_budget(args.m, args.n, args.budget)
     elements = (unrank(r, args.m, args.n) for r in range(1, order + 1))
     rows = ((r, w.window(), str(inversion_table(w))) for r, w in enumerate(elements, 1))

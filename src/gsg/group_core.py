@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import re
 from collections import deque
-from dataclasses import dataclass
 from math import factorial
 from typing import Iterator
 
@@ -29,7 +28,7 @@ from .errors import (
     IndexOutOfRange,
     WindowParseError,
 )
-from .mixed_radix import unchecked
+from .mixed_radix import Value, _new, slot_setters
 
 __all__ = [
     "GroupElement",
@@ -53,29 +52,56 @@ DEFAULT_BUDGET = 10**6
 _ENTRY_RE = re.compile(r"(?:\[([0-9]+)\])?([0-9]+)")
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Value):
     """A colored permutation: ``k -> beta[k]`` with color ``colors[k]``.
 
     ``beta`` and ``colors`` are stored 0-indexed: ``beta[k-1]`` is the image
     of ``k``.  Instances are immutable and hashable.
     """
 
-    m: int
-    n: int
-    beta: tuple[int, ...]
-    colors: tuple[int, ...]
+    __slots__ = ("m", "n", "beta", "colors")
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ValueError(f"need m >= 1 and n >= 1, got ({self.m}, {self.n})")
-        if sorted(self.beta) != list(range(1, self.n + 1)):
-            raise ValueError(f"{self.beta} is not a permutation of 1..{self.n}")
-        if len(self.colors) != self.n:
+    def __init__(
+        self, m: int, n: int, beta: tuple[int, ...], colors: tuple[int, ...]
+    ):
+        if m < 1 or n < 1:
+            raise ValueError(f"need m >= 1 and n >= 1, got ({m}, {n})")
+        if sorted(beta) != list(range(1, n + 1)):
+            raise ValueError(f"{beta} is not a permutation of 1..{n}")
+        if len(colors) != n:
             raise ValueError("one color per position required")
-        for r in self.colors:
-            if not 0 <= r <= self.m - 1:
-                raise ValueError(f"color {r} outside 0..{self.m - 1}")
+        for r in colors:
+            if not 0 <= r <= m - 1:
+                raise ValueError(f"color {r} outside 0..{m - 1}")
+        _set_m(self, m)
+        _set_n(self, n)
+        _set_beta(self, beta)
+        _set_colors(self, colors)
+
+    @staticmethod
+    def _unchecked(
+        m: int, n: int, beta: tuple[int, ...], colors: tuple[int, ...]
+    ) -> "GroupElement":
+        obj = _new(GroupElement)
+        _set_m(obj, m)
+        _set_n(obj, n)
+        _set_beta(obj, beta)
+        _set_colors(obj, colors)
+        return obj
+
+    # field by field: whole-group sweeps compare and hash elements millions of times
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.beta == other.beta
+            and self.colors == other.colors
+            and self.m == other.m
+            and self.n == other.n
+        )
+
+    def __hash__(self):
+        return hash((self.m, self.n, self.beta, self.colors))
 
     def window(self) -> str:
         """The one-line window text form."""
@@ -86,6 +112,9 @@ class GroupElement:
 
     def __str__(self) -> str:
         return self.window()
+
+
+_set_m, _set_n, _set_beta, _set_colors = slot_setters(GroupElement)
 
 
 def group_order(m: int, n: int) -> int:
@@ -117,7 +146,7 @@ def multiply(u: GroupElement, v: GroupElement) -> GroupElement:
     colors = tuple(
         (vc + u.colors[g - 1]) % u.m for g, vc in zip(v.beta, v.colors)
     )
-    return unchecked(GroupElement, u.m, u.n, beta, colors)
+    return GroupElement._unchecked(u.m, u.n, beta, colors)
 
 
 def inverse(u: GroupElement) -> GroupElement:
@@ -126,7 +155,7 @@ def inverse(u: GroupElement) -> GroupElement:
     for k, image in enumerate(u.beta, start=1):
         beta_inv[image - 1] = k
     colors = tuple((-u.colors[beta_inv[j] - 1]) % u.m for j in range(u.n))
-    return unchecked(GroupElement, u.m, u.n, tuple(beta_inv), colors)
+    return GroupElement._unchecked(u.m, u.n, tuple(beta_inv), colors)
 
 
 def power(u: GroupElement, k: int) -> GroupElement:
@@ -156,7 +185,7 @@ def power(u: GroupElement, k: int) -> GroupElement:
         for idx, q in enumerate(cycle):
             beta[q] = cycle[(idx + rest) % ell] + 1
             colors[q] = (turn + prefix[idx + rest] - prefix[idx]) % m
-    return unchecked(GroupElement, m, n, tuple(beta), tuple(colors))
+    return GroupElement._unchecked(m, n, tuple(beta), tuple(colors))
 
 
 def gen_s(m: int, n: int, i: int) -> GroupElement:
@@ -241,9 +270,10 @@ def enumerate_group(
     _require_budget(m, n, budget)
 
     def generate():
+        build = GroupElement._unchecked
         for beta in itertools.permutations(range(1, n + 1)):
             for colors in itertools.product(range(m), repeat=n):
-                yield unchecked(GroupElement, m, n, beta, colors)
+                yield build(m, n, beta, colors)
 
     return generate()
 
@@ -252,7 +282,7 @@ def parse_window(text: str, m: int) -> GroupElement:
     """Parse the window text form; the error message names any bad entry.
 
     The number of entries fixes n; the values must form a permutation of
-    1..n and color prefixes must lie in 1..m-1.
+    1..n and color prefixes must lie in 1..m-1 (so m = 1 takes none).
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
@@ -267,10 +297,13 @@ def parse_window(text: str, m: int) -> GroupElement:
             raise WindowParseError(f"entry {pos} ({entry!r}) is malformed")
         color = int(match.group(1)) if match.group(1) is not None else 0
         value = int(match.group(2))
-        if match.group(1) is not None and not 1 <= color <= m - 1:
-            raise WindowParseError(
-                f"entry {pos} ({entry!r}): color {color} outside 1..{m - 1}"
-            )
+        if match.group(1) is not None:
+            if m == 1:
+                raise WindowParseError(f"entry {pos} ({entry!r}): m = 1 takes no color prefix")
+            if not 1 <= color <= m - 1:
+                raise WindowParseError(
+                    f"entry {pos} ({entry!r}): color {color} outside 1..{m - 1}"
+                )
         beta.append(value)
         colors.append(color)
     n = len(entries)
@@ -280,4 +313,4 @@ def parse_window(text: str, m: int) -> GroupElement:
     if len(set(beta)) != n:
         dup = next(v for v in beta if beta.count(v) > 1)
         raise WindowParseError(f"value {dup} appears more than once")
-    return unchecked(GroupElement, m, n, tuple(beta), tuple(colors))
+    return GroupElement._unchecked(m, n, tuple(beta), tuple(colors))

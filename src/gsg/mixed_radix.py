@@ -26,7 +26,6 @@ constant than one interpreted step per digit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lgamma, log, prod
 
 from .errors import DigitBoundError
@@ -40,41 +39,83 @@ __all__ = [
 ]
 
 
-def unchecked(cls, *field_values):
-    """An instance of the frozen dataclass ``cls`` that skips ``__post_init__``.
+class Value:
+    """Base of the immutable value classes; their fields are their ``__slots__``.
 
-    Only for values the library built from checked values, which pass the
-    checks by construction; sequences must already be tuples.
+    An instance equals another of the same class with equal fields, hashes
+    by its fields and refuses assignment and deletion.  Constructors store
+    the fields through the slots' member descriptors (:func:`slot_setters`),
+    which this ``__setattr__`` does not reach.  Each class's ``_unchecked``
+    builds an instance the same way without the constructor checks: only
+    for values the library built from checked values, which pass the checks
+    by construction; sequences must already be tuples.
     """
-    obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__dataclass_fields__, field_values))
-    return obj
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
-@dataclass(frozen=True)
-class MixedRadixNumber:
+def slot_setters(cls: type) -> list:
+    """The ``__set__`` of each of ``cls``'s slots, in ``__slots__`` order."""
+    return [getattr(cls, name).__set__ for name in cls.__slots__]
+
+
+_new = object.__new__
+
+
+class MixedRadixNumber(Value):
     """A digit vector in the mixed-radix system with seed ``m``.
 
     Digits are stored least-significant first; the text form renders them
     most-significant first, colon-separated, e.g. ``"3:13:1:5:2"``.
     """
 
-    m: int
-    digits: tuple[int, ...]
+    __slots__ = ("m", "digits")
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise DigitBoundError(f"radix seed must be >= 1, got {self.m}")
-        if not isinstance(self.digits, tuple):
-            object.__setattr__(self, "digits", tuple(self.digits))
-        if len(self.digits) < 1:
+    def __init__(self, m: int, digits: tuple[int, ...]):
+        if m < 1:
+            raise DigitBoundError(f"radix seed must be >= 1, got {m}")
+        digits = tuple(digits)
+        if len(digits) < 1:
             raise DigitBoundError("a number has at least one digit")
-        for i, d in enumerate(self.digits):
-            bound = self.m * (i + 1) - 1
+        for i, d in enumerate(digits):
+            bound = m * (i + 1) - 1
             if not 0 <= d <= bound:
                 raise DigitBoundError(
-                    f"digit {d} at position {i} exceeds bound {bound} (m={self.m})"
+                    f"digit {d} at position {i} exceeds bound {bound} (m={m})"
                 )
+        _set_m(self, m)
+        _set_digits(self, digits)
+
+    @staticmethod
+    def _unchecked(m: int, digits: tuple[int, ...]) -> "MixedRadixNumber":
+        obj = _new(MixedRadixNumber)
+        _set_m(obj, m)
+        _set_digits(obj, digits)
+        return obj
 
     @property
     def n(self) -> int:
@@ -94,6 +135,9 @@ class MixedRadixNumber:
 
     def __str__(self) -> str:
         return ":".join(str(d) for d in reversed(self.digits))
+
+
+_set_m, _set_digits = slot_setters(MixedRadixNumber)
 
 
 def weights(m: int, count: int) -> list[int]:
@@ -133,18 +177,25 @@ def _encode(x: int, m: int, lo: int, hi: int, out: list[int]) -> int:
     return _encode(high, m, mid, hi, out)
 
 
-def _decode(m: int, digits: tuple[int, ...], lo: int, hi: int) -> int:
-    """The digits at positions ``lo .. hi-1``, in units of the weight of ``lo``."""
+def _decode(
+    m: int, digits: tuple[int, ...], lo: int, hi: int, weight: bool
+) -> tuple[int, int]:
+    """The digits at positions ``lo .. hi-1``, in units of the weight of ``lo``,
+    and ``W(lo, hi)`` when ``weight`` is set (else 1).
+
+    Every product of the tree is built once, from its two halves, and only
+    where a caller needs it.
+    """
     if hi - lo <= _LEAF:
         x = 0
         for i in range(hi, lo, -1):
             x = x * (m * i) + digits[i - 1]
-        return x
+        return x, prod(range(m * (lo + 1), m * hi + 1, m)) if weight else 1
     mid = (lo + hi) // 2
-    high = _decode(m, digits, mid, hi)
-    low = _decode(m, digits, lo, mid)
+    high, w_high = _decode(m, digits, mid, hi, weight)
     # a zero high half (a small value at a large width) needs no product
-    return low + _radix_product(m, lo, mid) * high if high else low
+    low, w_low = _decode(m, digits, lo, mid, weight or high != 0)
+    return low + w_low * high, w_low * w_high if weight else 1
 
 
 def _width(x: int, m: int) -> int:
@@ -201,9 +252,9 @@ def encode_width(x: int, m: int, n: int) -> MixedRadixNumber:
         raise OverflowError(
             f"an integer of {x.bit_length()} bits needs {_width(x, m)} digits, only {n} allowed"
         )
-    return unchecked(MixedRadixNumber, m, tuple(digits))
+    return MixedRadixNumber._unchecked(m, tuple(digits))
 
 
 def decode(d: MixedRadixNumber) -> int:
     """The integer sum of digit times positional weight."""
-    return _decode(d.m, d.digits, 0, d.n)
+    return _decode(d.m, d.digits, 0, d.n, False)[0]

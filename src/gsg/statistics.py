@@ -17,12 +17,11 @@ statistic onto the flag-major index.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Literal
 
 from .errors import IndexOutOfRange, RankOutOfRange, UnsupportedRadix
 from .group_core import DEFAULT_BUDGET, GroupElement, enumerate_group, group_order
-from .mixed_radix import MixedRadixNumber, decode, encode_width, unchecked
+from .mixed_radix import MixedRadixNumber, Value, decode, encode_width, slot_setters
 
 __all__ = [
     "Root",
@@ -48,21 +47,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(Value):
     """The formal difference of colored basis vectors ``(a,j)`` and ``(b,l)``."""
 
-    a: int
-    j: int
-    b: int
-    l: int
+    __slots__ = ("a", "j", "b", "l")
 
-    def __post_init__(self):
-        if (self.a, self.j) == (self.b, self.l):
+    def __init__(self, a: int, j: int, b: int, l: int):
+        if (a, j) == (b, l):
             raise ValueError("the two colored vectors of a root must differ")
+        _set_a(self, a)
+        _set_j(self, j)
+        _set_b(self, b)
+        _set_l(self, l)
 
     def negated(self) -> "Root":
         return Root(self.b, self.l, self.a, self.j)
+
+
+_set_a, _set_j, _set_b, _set_l = slot_setters(Root)
 
 
 def _require_radix(m: int):
@@ -215,20 +217,25 @@ def _inversions(w: GroupElement) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class InversionTable:
+class InversionTable(Value):
     """The vector of i-inversions, most significant (i = 1) first.
 
     Entry ``i`` is bounded by ``m*(n-i+1) - 1``, which makes the table a
     valid mixed-radix digit string under ``d_{n-i} = entry_i``.
     """
 
-    m: int
-    n: int
-    entries: tuple[int, ...]
+    __slots__ = ("m", "n", "entries")
+
+    def __init__(self, m: int, n: int, entries: tuple[int, ...]):
+        _set_table_m(self, m)
+        _set_table_n(self, n)
+        _set_entries(self, entries)
 
     def __str__(self) -> str:
         return ":".join(str(e) for e in self.entries)
+
+
+_set_table_m, _set_table_n, _set_entries = slot_setters(InversionTable)
 
 
 def inversion_table(w: GroupElement) -> InversionTable:
@@ -239,7 +246,7 @@ def inversion_table(w: GroupElement) -> InversionTable:
 def rank(w: GroupElement) -> int:
     """1-based position of ``w`` in the inversion-table enumeration."""
     # in position order, the i-inversion numbers are the digits least significant first
-    return decode(unchecked(MixedRadixNumber, w.m, tuple(_inversions(w)))) + 1
+    return decode(MixedRadixNumber._unchecked(w.m, tuple(_inversions(w)))) + 1
 
 
 def unrank(r: int, m: int, n: int) -> GroupElement:
@@ -268,7 +275,7 @@ def unrank(r: int, m: int, n: int) -> GroupElement:
             idx, c = divmod(d - k, m - 1)
             beta[p] = remaining.pop(idx)
             colors[p] = c + 1
-    return unchecked(GroupElement, m, n, tuple(beta), tuple(colors))
+    return GroupElement._unchecked(m, n, tuple(beta), tuple(colors))
 
 
 def fmaj_exponents(w: GroupElement) -> list[int]:
@@ -322,20 +329,19 @@ def phi(w: GroupElement) -> GroupElement:
         colors[p - 1] = (c + taken) % m
         taken += c
         prev = b
-    return unchecked(GroupElement, m, n, tuple(beta), tuple(colors))
+    return GroupElement._unchecked(m, n, tuple(beta), tuple(colors))
 
 
-@dataclass(frozen=True)
-class QPolynomial:
+class QPolynomial(Value):
     """Dense nonnegative integer coefficients, index = degree in q."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        trimmed = tuple(self.coeffs)
+    def __init__(self, coeffs: tuple[int, ...]):
+        trimmed = tuple(coeffs)
         while trimmed and trimmed[-1] == 0:
             trimmed = trimmed[:-1]
-        object.__setattr__(self, "coeffs", trimmed)
+        _set_coeffs(self, trimmed)
 
     @classmethod
     def q_integer(cls, k: int) -> "QPolynomial":
@@ -357,6 +363,9 @@ class QPolynomial:
 
     def __str__(self) -> str:
         return ",".join(str(c) for c in self.coeffs)
+
+
+(_set_coeffs,) = slot_setters(QPolynomial)
 
 
 def poincare(m: int, n: int) -> QPolynomial:

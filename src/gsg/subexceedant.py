@@ -11,10 +11,8 @@ and the group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .group_core import GroupElement
-from .mixed_radix import MixedRadixNumber, decode, encode_width, unchecked
+from .mixed_radix import MixedRadixNumber, Value, _new, decode, encode_width, slot_setters
 
 __all__ = [
     "SubexceedantFunction",
@@ -27,18 +25,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SubexceedantFunction:
+class SubexceedantFunction(Value):
     """Values ``f(1)..f(n)`` with ``1 <= f(i) <= i``."""
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        if len(self.values) < 1:
+    def __init__(self, values: tuple[int, ...]):
+        if len(values) < 1:
             raise ValueError("need at least one value")
-        for i, v in enumerate(self.values, start=1):
+        for i, v in enumerate(values, start=1):
             if not 1 <= v <= i:
                 raise ValueError(f"f({i}) = {v} outside 1..{i}")
+        _set_values(self, values)
+
+    @staticmethod
+    def _unchecked(values: tuple[int, ...]) -> "SubexceedantFunction":
+        obj = _new(SubexceedantFunction)
+        _set_values(obj, values)
+        return obj
 
     @property
     def n(self) -> int:
@@ -46,6 +50,9 @@ class SubexceedantFunction:
 
     def __str__(self) -> str:
         return ";".join(str(v) for v in self.values)
+
+
+(_set_values,) = slot_setters(SubexceedantFunction)
 
 
 def psi(f: SubexceedantFunction) -> tuple[int, ...]:
@@ -76,7 +83,7 @@ def psi_inverse(beta: tuple[int, ...]) -> SubexceedantFunction:
     n = len(beta)
     if not n or sorted(beta) != list(range(1, n + 1)):
         raise ValueError(f"need a permutation of 1..n with n >= 1, got {tuple(beta)}")
-    return unchecked(SubexceedantFunction, _reduce(beta))
+    return SubexceedantFunction._unchecked(_reduce(beta))
 
 
 def _reduce(beta: tuple[int, ...]) -> tuple[int, ...]:
@@ -103,15 +110,15 @@ def element_of_digits(d: MixedRadixNumber) -> GroupElement:
     part is the image of ``f`` under the transposition-product bijection.
     """
     m = d.m
-    f = unchecked(SubexceedantFunction, tuple(digit // m + 1 for digit in d.digits))
+    f = SubexceedantFunction._unchecked(tuple(digit // m + 1 for digit in d.digits))
     colors = tuple(digit % m for digit in d.digits)
-    return unchecked(GroupElement, m, d.n, psi(f), colors)
+    return GroupElement._unchecked(m, d.n, psi(f), colors)
 
 
 def digits_of_element(w: GroupElement) -> MixedRadixNumber:
     """Inverse of :func:`element_of_digits`: ``d_{i-1} = m*(f(i)-1) + color_i``."""
     digits = tuple(w.m * (fi - 1) + r for fi, r in zip(_reduce(w.beta), w.colors))
-    return unchecked(MixedRadixNumber, w.m, digits)
+    return MixedRadixNumber._unchecked(w.m, digits)
 
 
 def integer_of_element(w: GroupElement) -> int:

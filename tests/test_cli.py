@@ -260,6 +260,12 @@ def test_parse_errors_exit_2(capsys):
     assert code == 2
 
 
+def test_color_prefix_at_m_1_exits_2(capsys):
+    code, out, err = run(capsys, "rank", "--m", "1", "[1]2 1")
+    assert (code, out) == (2, "")
+    assert err == "error: entry 1 ('[1]2'): m = 1 takes no color prefix\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,0 +1,169 @@
+"""The value-class contract shared by the six immutable ``__slots__`` classes.
+
+Equality is by class and fields, hashing agrees with equality, fields
+cannot be assigned or deleted, the constructors keep their checks and the
+library's unchecked build path makes objects equal to checked ones.
+"""
+
+import copy
+import pickle
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from gsg.errors import DigitBoundError
+from gsg.group_core import GroupElement
+from gsg.mixed_radix import MixedRadixNumber
+from gsg.statistics import InversionTable, QPolynomial, Root
+from gsg.subexceedant import SubexceedantFunction
+
+
+@st.composite
+def number_fields(draw):
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 8))
+    return m, tuple(draw(st.integers(0, m * (i + 1) - 1)) for i in range(n))
+
+
+@st.composite
+def element_fields(draw):
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 6))
+    beta = tuple(draw(st.permutations(range(1, n + 1))))
+    return m, n, beta, tuple(draw(st.integers(0, m - 1)) for _ in range(n))
+
+
+@st.composite
+def root_fields(draw):
+    a, j, b, l = (draw(st.integers(0, 3)) for _ in range(4))
+    if (a, j) == (b, l):
+        b += 1
+    return a, j, b, l
+
+
+@st.composite
+def table_fields(draw):
+    n = draw(st.integers(1, 6))
+    return draw(st.integers(1, 5)), n, tuple(draw(st.integers(0, 30)) for _ in range(n))
+
+
+@st.composite
+def polynomial_fields(draw):
+    coeffs = draw(st.lists(st.integers(0, 9), max_size=6))
+    return (tuple(coeffs) + (draw(st.integers(1, 9)),),)  # no trailing zero
+
+
+@st.composite
+def subexceedant_fields(draw):
+    n = draw(st.integers(1, 7))
+    return (tuple(draw(st.integers(1, i)) for i in range(1, n + 1)),)
+
+
+FIELDS = {
+    MixedRadixNumber: number_fields(),
+    GroupElement: element_fields(),
+    Root: root_fields(),
+    InversionTable: table_fields(),
+    QPolynomial: polynomial_fields(),
+    SubexceedantFunction: subexceedant_fields(),
+}
+CLASSES = list(FIELDS)
+UNCHECKED = [MixedRadixNumber, GroupElement, SubexceedantFunction]
+
+
+def fields_of(obj):
+    return tuple(getattr(obj, name) for name in type(obj).__slots__)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+@given(data=st.data())
+def test_equal_iff_same_class_and_fields_property(cls, data):
+    x = data.draw(FIELDS[cls])
+    y = data.draw(st.one_of(st.just(x), FIELDS[cls]))
+    a, b = cls(*x), cls(*y)
+    assert fields_of(a) == x
+    assert (a == b) is (x == y)
+    assert (a != b) is (x != y)
+    if x == y:
+        assert hash(a) == hash(b)
+    assert a != x and x != a  # never a plain tuple of its fields
+    for other in CLASSES:
+        if other is not cls:
+            assert a != other(*data.draw(FIELDS[other]))
+
+    class Lookalike(cls):
+        pass
+
+    assert a != Lookalike(*x) and Lookalike(*x) != a
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+@given(data=st.data())
+def test_fields_cannot_be_assigned_or_deleted_property(cls, data):
+    a = cls(*data.draw(FIELDS[cls]))
+    before = fields_of(a)
+    for name in cls.__slots__ + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert fields_of(a) == before
+
+
+@pytest.mark.parametrize("cls", UNCHECKED, ids=lambda c: c.__name__)
+@given(data=st.data())
+def test_unchecked_build_equals_checked_build_property(cls, data):
+    x = data.draw(FIELDS[cls])
+    fast, checked = cls._unchecked(*x), cls(*x)
+    assert type(fast) is cls
+    assert fast == checked and hash(fast) == hash(checked)
+    assert repr(fast) == repr(checked)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+@given(data=st.data())
+def test_copies_and_pickles_are_equal_property(cls, data):
+    a = cls(*data.draw(FIELDS[cls]))
+    for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(b) is cls and b == a
+
+
+def test_repr_names_the_fields():
+    assert repr(GroupElement(2, 2, (2, 1), (0, 1))) == (
+        "GroupElement(m=2, n=2, beta=(2, 1), colors=(0, 1))"
+    )
+    assert repr(QPolynomial((1, 2, 0))) == "QPolynomial(coeffs=(1, 2))"
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: MixedRadixNumber(0, (0,)), DigitBoundError, "radix seed must be >= 1, got 0"),
+        (lambda: MixedRadixNumber(3, ()), DigitBoundError, "a number has at least one digit"),
+        (
+            lambda: MixedRadixNumber(7, (2, 14)),
+            DigitBoundError,
+            "digit 14 at position 1 exceeds bound 13 (m=7)",
+        ),
+        (lambda: GroupElement(0, 2, (1, 2), (0, 0)), ValueError, "need m >= 1 and n >= 1, got (0, 2)"),
+        (lambda: GroupElement(3, 3, (1, 1, 2), (0, 0, 0)), ValueError, "(1, 1, 2) is not a permutation of 1..3"),
+        (lambda: GroupElement(3, 3, (1, 2, 3), (0, 0)), ValueError, "one color per position required"),
+        (lambda: GroupElement(3, 3, (1, 2, 3), (0, 3, 0)), ValueError, "color 3 outside 0..2"),
+        (lambda: Root(1, 2, 1, 2), ValueError, "the two colored vectors of a root must differ"),
+        (lambda: SubexceedantFunction(()), ValueError, "need at least one value"),
+        (lambda: SubexceedantFunction((1, 3)), ValueError, "f(2) = 3 outside 1..2"),
+    ],
+)
+def test_constructor_checks_keep_their_errors(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+def test_constructors_normalise_as_before():
+    # digit lists become tuples; trailing zero coefficients are dropped
+    assert MixedRadixNumber(3, [1, 2]).digits == (1, 2)
+    assert QPolynomial([1, 0, 2, 0, 0]).coeffs == (1, 0, 2)
+    assert QPolynomial(()) == QPolynomial((0, 0))
