@@ -84,6 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("poincare", help="coefficients of the length generating function")
     p.add_argument("--m", type=_integer, required=True)
     p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("verify", help="run the whole-group invariant sweep")
     p.add_argument("--m", type=_integer, required=True)
@@ -171,7 +172,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_poincare(args) -> int:
-    print(poincare(args.m, args.n))
+    print(poincare(args.m, args.n, args.budget))
     return EXIT_OK
 
 

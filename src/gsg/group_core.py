@@ -64,6 +64,7 @@ class GroupElement(Value):
     def __init__(
         self, m: int, n: int, beta: tuple[int, ...], colors: tuple[int, ...]
     ):
+        beta, colors = tuple(beta), tuple(colors)
         if m < 1 or n < 1:
             raise ValueError(f"need m >= 1 and n >= 1, got ({m}, {n})")
         if sorted(beta) != list(range(1, n + 1)):
@@ -138,24 +139,25 @@ def identity(m: int, n: int) -> GroupElement:
 
 def multiply(u: GroupElement, v: GroupElement) -> GroupElement:
     """Product with ``v`` acting first: ``k -> u(v(k))`` on colored values."""
-    if (u.m, u.n) != (v.m, v.n):
+    m, n = u.m, u.n
+    if (m, n) != (v.m, v.n):
         raise DimensionMismatch(
-            f"cannot multiply ({u.m},{u.n}) element by ({v.m},{v.n}) element"
+            f"cannot multiply ({m},{n}) element by ({v.m},{v.n}) element"
         )
-    beta = tuple(u.beta[g - 1] for g in v.beta)
-    colors = tuple(
-        (vc + u.colors[g - 1]) % u.m for g, vc in zip(v.beta, v.colors)
-    )
-    return GroupElement._unchecked(u.m, u.n, beta, colors)
+    ubeta, ucolors, vbeta = u.beta, u.colors, v.beta
+    beta = tuple([ubeta[g - 1] for g in vbeta])
+    colors = tuple([(vc + ucolors[g - 1]) % m for g, vc in zip(vbeta, v.colors)])
+    return GroupElement._unchecked(m, n, beta, colors)
 
 
 def inverse(u: GroupElement) -> GroupElement:
     """The two-sided inverse: permutation inverts, colors negate along it."""
-    beta_inv = [0] * u.n
+    m, n, ucolors = u.m, u.n, u.colors
+    beta_inv = [0] * n
     for k, image in enumerate(u.beta, start=1):
         beta_inv[image - 1] = k
-    colors = tuple((-u.colors[beta_inv[j] - 1]) % u.m for j in range(u.n))
-    return GroupElement._unchecked(u.m, u.n, tuple(beta_inv), colors)
+    colors = tuple([-ucolors[k - 1] % m for k in beta_inv])
+    return GroupElement._unchecked(m, n, tuple(beta_inv), colors)
 
 
 def power(u: GroupElement, k: int) -> GroupElement:

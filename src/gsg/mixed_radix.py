@@ -11,21 +11,23 @@ All arithmetic is exact (Python ints); values hundreds of decimal digits
 long round-trip bit-exactly.
 
 Conversion is divide and conquer over the product tree of the radices
-``m*(i+1)``.  With ``W(lo, hi)`` the product of the radices at positions
-``lo .. hi-1``, the digits ``[lo, hi)`` decode to ``decode(lo, mid) +
-W(lo, mid) * decode(mid, hi)``, and encoding splits ``x`` by
-``divmod(x, W(lo, mid))``: the remainder gives the low half's digits, the
-quotient the high half's.  Ranges of at most ``_LEAF`` digits run the
-plain digit loop (Horner's rule, successive division).  A digit loop does
-n single-limb steps on an N-bit value, Theta(n*N); the tree does a few
-big-int products or divisions per level, so decoding costs O(M(N) log n)
-with CPython's Karatsuba M(N) = O(N**1.585), and encoding costs CPython's
-multi-limb division, still quadratic in 3.11 but with a far smaller
-constant than one interpreted step per digit.
+``m*(i+1)`` (Brent and Zimmermann, *Modern Computer Arithmetic*, 1.7).  With
+``W(lo, hi)`` the product of the radices at positions ``lo .. hi-1``, digits
+``[lo, hi)`` decode to ``low + W(lo, mid) * high`` from their two halves, and
+encoding splits ``x`` by ``divmod(x, W(lo, mid))``; ranges of at most
+``_LEAF`` digits (``2*_LEAF`` to decode) run the plain digit loop.  Each
+``W`` is built once, from its halves, and cached by ``(m, lo, hi)``, at most
+``_TREE_NODES`` of them: a width-n tree is about ``2*n/_LEAF`` products,
+about ``log2(n/_LEAF) + 1`` times the size of ``m**n * n!`` in all (15 KB at
+m = 2, n = 2000).  A digit loop costs Theta(n*N) on an N-bit value; the tree
+decodes in O(M(N) log n), with CPython's Karatsuba M(N) = O(N**1.585), and
+encodes by CPython's multi-limb division, quadratic in 3.11 but with a far
+smaller constant.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import lgamma, log, prod
 
 from .errors import DigitBoundError
@@ -151,8 +153,10 @@ def weights(m: int, count: int) -> list[int]:
 
 
 _LEAF = 64  # digit ranges up to this width run the plain loop
+_TREE_NODES = 1024  # the radix products kept, over all (m, lo, hi)
 
 
+@lru_cache(maxsize=_TREE_NODES)
 def _radix_product(m: int, lo: int, hi: int) -> int:
     """``W(lo, hi)``: the product of the radices ``m*(i+1)``, ``lo <= i < hi``."""
     if hi - lo <= _LEAF:
@@ -177,25 +181,16 @@ def _encode(x: int, m: int, lo: int, hi: int, out: list[int]) -> int:
     return _encode(high, m, mid, hi, out)
 
 
-def _decode(
-    m: int, digits: tuple[int, ...], lo: int, hi: int, weight: bool
-) -> tuple[int, int]:
-    """The digits at positions ``lo .. hi-1``, in units of the weight of ``lo``,
-    and ``W(lo, hi)`` when ``weight`` is set (else 1).
-
-    Every product of the tree is built once, from its two halves, and only
-    where a caller needs it.
-    """
-    if hi - lo <= _LEAF:
+def _decode(m: int, digits: tuple[int, ...], lo: int, hi: int) -> int:
+    """The digits at positions ``lo .. hi-1``, in units of the weight of ``lo``."""
+    # a split pays for its product only once each half is about a leaf wide
+    if hi - lo <= 2 * _LEAF:
         x = 0
         for i in range(hi, lo, -1):
             x = x * (m * i) + digits[i - 1]
-        return x, prod(range(m * (lo + 1), m * hi + 1, m)) if weight else 1
+        return x
     mid = (lo + hi) // 2
-    high, w_high = _decode(m, digits, mid, hi, weight)
-    # a zero high half (a small value at a large width) needs no product
-    low, w_low = _decode(m, digits, lo, mid, weight or high != 0)
-    return low + w_low * high, w_low * w_high if weight else 1
+    return _decode(m, digits, lo, mid) + _radix_product(m, lo, mid) * _decode(m, digits, mid, hi)
 
 
 def _width(x: int, m: int) -> int:
@@ -257,4 +252,4 @@ def encode_width(x: int, m: int, n: int) -> MixedRadixNumber:
 
 def decode(d: MixedRadixNumber) -> int:
     """The integer sum of digit times positional weight."""
-    return _decode(d.m, d.digits, 0, d.n, False)[0]
+    return _decode(d.m, d.digits, 0, len(d.digits))

@@ -17,9 +17,11 @@ statistic onto the flag-major index.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import accumulate
+from operator import sub
 from typing import Literal
 
-from .errors import IndexOutOfRange, RankOutOfRange, UnsupportedRadix
+from .errors import BudgetExceeded, IndexOutOfRange, RankOutOfRange, UnsupportedRadix
 from .group_core import DEFAULT_BUDGET, GroupElement, enumerate_group, group_order
 from .mixed_radix import MixedRadixNumber, Value, decode, encode_width, slot_setters
 
@@ -229,7 +231,7 @@ class InversionTable(Value):
     def __init__(self, m: int, n: int, entries: tuple[int, ...]):
         _set_table_m(self, m)
         _set_table_n(self, n)
-        _set_entries(self, entries)
+        _set_entries(self, tuple(entries))
 
     def __str__(self) -> str:
         return ":".join(str(e) for e in self.entries)
@@ -368,14 +370,29 @@ class QPolynomial(Value):
 (_set_coeffs,) = slot_setters(QPolynomial)
 
 
-def poincare(m: int, n: int) -> QPolynomial:
-    """The product of the q-integers ``[im]_q`` for ``i = 1..n``, exactly."""
+def poincare(m: int, n: int, budget: int = DEFAULT_BUDGET) -> QPolynomial:
+    """The product of the q-integers ``[im]_q`` for ``i = 1..n``, exactly.
+
+    Multiplying by ``[k]_q`` sums each run of ``k`` consecutive coefficients,
+    a difference of two prefix sums: O(deg) per factor.  ``budget`` bounds
+    the coefficient updates, ``n * (deg + 1)`` with ``deg = m*n*(n+1)/2 - n``
+    the degree of the product; :class:`BudgetExceeded` before any work.
+    """
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
-    out = QPolynomial((1,))
-    for i in range(1, n + 1):
-        out = out * QPolynomial.q_integer(i * m)
-    return out
+    updates = n * (m * n * (n + 1) // 2 - n + 1)
+    if updates > budget:
+        raise BudgetExceeded(
+            f"{updates} coefficient updates for G({m},1,{n}) exceed budget {budget}"
+        )
+    coeffs = [1]
+    for k in range(m, m * n + 1, m):
+        prefix = list(accumulate(coeffs, initial=0))
+        # coefficient j is prefix[min(j+1, len)] - prefix[max(0, j+1-k)]
+        upper = prefix[1:] + [prefix[-1]] * (k - 1)
+        lower = [0] * (k - 1) + prefix[:-1]
+        coeffs = list(map(sub, upper, lower))
+    return QPolynomial(tuple(coeffs))
 
 
 Statistic = Literal["inv", "fmaj", "L"]

@@ -31,6 +31,7 @@ class SubexceedantFunction(Value):
     __slots__ = ("values",)
 
     def __init__(self, values: tuple[int, ...]):
+        values = tuple(values)
         if len(values) < 1:
             raise ValueError("need at least one value")
         for i, v in enumerate(values, start=1):
@@ -93,14 +94,13 @@ def _reduce(beta: tuple[int, ...]) -> tuple[int, ...]:
     pos = [0] * (n + 1)
     for idx, v in enumerate(window):
         pos[v] = idx
-    values = [0] * n
+    # step i moves f(i) = window[i-1] to where i was; neither position i-1
+    # nor pos[i] is read again, so window ends as the values f(1)..f(n)
     for i in range(n, 0, -1):
-        values[i - 1] = window[i - 1]
-        pi, pf = pos[i], i - 1
-        window[pi], window[pf] = window[pf], window[pi]
-        pos[window[pi]] = pi
-        pos[window[pf]] = pf
-    return tuple(values)
+        v, p = window[i - 1], pos[i]
+        window[p] = v
+        pos[v] = p
+    return tuple(window)
 
 
 def element_of_digits(d: MixedRadixNumber) -> GroupElement:

@@ -134,6 +134,20 @@ def test_poincare(capsys):
     assert len(coeffs) == 16 and sum(coeffs) == 162
 
 
+def test_poincare_budget_exit_4(capsys):
+    # G(2,1,2): degree 4, so 2 * 5 = 10 coefficient updates
+    assert run(capsys, "poincare", "--m", "2", "--n", "2", "--budget", "10")[:2] == (
+        0,
+        "1,2,2,2,1\n",
+    )
+    code, out, err = run(capsys, "poincare", "--m", "2", "--n", "2", "--budget", "9")
+    assert code == 4
+    assert out == "" and err == "error: 10 coefficient updates for G(2,1,2) exceed budget 9\n"
+    # checked before any work: this product would not finish
+    code, out, _ = run(capsys, "poincare", "--m", "2", "--n", "1000000", "--budget", "10")
+    assert code == 4 and out == ""
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify", "--m", "3", "--n", "3")
     assert code == 0

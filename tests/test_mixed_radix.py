@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from gsg.errors import DigitBoundError
 from gsg.mixed_radix import (
     _LEAF,
+    _TREE_NODES,
     MixedRadixNumber,
+    _radix_product,
     decode,
     encode,
     encode_width,
@@ -216,3 +218,38 @@ def test_codec_boundaries_property(m, n):
     with pytest.raises(OverflowError):
         encode_width(order, m, n)
     assert encode(order, m).digits == division_oracle(order, m)
+
+
+@st.composite
+def codec_cases(draw):
+    """An ``(m, width, x)`` triple with ``x`` below the order; the fixed widths
+    share halves of the tree with one another, and small ``x`` at a large
+    width leaves the high digits zero."""
+    m = draw(st.integers(1, 6))
+    n = draw(WIDTHS | st.sampled_from((65, 100, 130, 200, 260, 500)))
+    order = m**n * factorial(n)
+    return m, n, draw(below(order) | st.integers(0, min(order - 1, 2**64)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(codec_cases(), min_size=2, max_size=8))
+def test_codec_sequence_matches_oracles_property(cases):
+    # the products of the radix tree outlive each call, so a product kept
+    # under the wrong (m, lo, hi) shows as wrong digits later in the sequence
+    for m, n, x in cases:
+        minimal = division_oracle(x, m)
+        d = encode_width(x, m, n)
+        assert d.digits == minimal + (0,) * (n - len(minimal))
+        assert decode(d) == horner_oracle(m, d.digits) == x
+
+
+def test_radix_tree_cache_stays_bounded():
+    _radix_product.cache_clear()
+    for m in (1, 2, 3, 4):
+        for n in range(_LEAF + 1, 400):
+            order = m**n * factorial(n)
+            assert decode(encode_width(order - 1, m, n)) == order - 1
+    info = _radix_product.cache_info()
+    assert info.maxsize == _TREE_NODES
+    assert info.misses > _TREE_NODES  # the bound was reached
+    assert info.currsize <= info.maxsize

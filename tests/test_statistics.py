@@ -330,6 +330,15 @@ def test_poincare():
         assert sum(poincare(m, n).coeffs) == m**n * factorial(n)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 8))
+def test_poincare_matches_schoolbook_product_property(m, n):
+    product = QPolynomial((1,))
+    for i in range(1, n + 1):
+        product = product * QPolynomial.q_integer(i * m)
+    assert poincare(m, n) == product
+
+
 def test_qpolynomial_basics():
     assert QPolynomial.q_integer(4).coeffs == (1, 1, 1, 1)
     assert (QPolynomial((1, 1)) * QPolynomial((1, 1, 1, 1))).coeffs == (1, 2, 2, 2, 1)

@@ -4,10 +4,13 @@ import itertools
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsg.group_core import enumerate_group, identity, longest_element, parse_window
 from gsg.mixed_radix import MixedRadixNumber, decode
 from gsg.subexceedant import (
+    _reduce,
     SubexceedantFunction,
     digits_of_element,
     element_of_digits,
@@ -160,3 +163,38 @@ def test_integer_correspondence_is_bijective(m, n):
     assert values == set(range(order))
     for x in range(0, order, 17):
         assert integer_of_element(element_of_integer(x, m, n)) == x
+
+
+def reduce_swap_oracle(beta):
+    """Oracle for ``_reduce``: the full swap loop, which keeps the window and
+    the position index whole at every step."""
+    n = len(beta)
+    window = list(beta)
+    pos = [0] * (n + 1)
+    for idx, v in enumerate(window):
+        pos[v] = idx
+    values = [0] * n
+    for i in range(n, 0, -1):
+        values[i - 1] = window[i - 1]
+        pi, pf = pos[i], i - 1
+        window[pi], window[pf] = window[pf], window[pi]
+        pos[window[pi]] = pi
+        pos[window[pf]] = pf
+    return tuple(values)
+
+
+def permutations_up_to(n_max):
+    small = st.integers(1, 9).flatmap(lambda n: st.permutations(range(1, n + 1)))
+    shuffled = st.tuples(st.integers(1, n_max), st.randoms(use_true_random=False)).map(
+        lambda nr: nr[1].sample(range(1, nr[0] + 1), nr[0])
+    )
+    return (small | shuffled).map(tuple)
+
+
+@settings(max_examples=80, deadline=None)
+@given(permutations_up_to(2000))
+def test_reduce_matches_swap_oracle_property(beta):
+    values = _reduce(beta)
+    assert values == reduce_swap_oracle(beta)
+    assert psi(psi_inverse(beta)) == beta
+    assert psi_inverse(beta).values == values

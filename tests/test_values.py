@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gsg.errors import DigitBoundError
-from gsg.group_core import GroupElement
+from gsg.group_core import GroupElement, identity
 from gsg.mixed_radix import MixedRadixNumber
 from gsg.statistics import InversionTable, QPolynomial, Root
 from gsg.subexceedant import SubexceedantFunction
@@ -167,3 +167,19 @@ def test_constructors_normalise_as_before():
     assert MixedRadixNumber(3, [1, 2]).digits == (1, 2)
     assert QPolynomial([1, 0, 2, 0, 0]).coeffs == (1, 0, 2)
     assert QPolynomial(()) == QPolynomial((0, 0))
+
+
+@pytest.mark.parametrize(
+    "from_lists, from_tuples",
+    [
+        (lambda: GroupElement(2, 2, [1, 2], [0, 0]), lambda: identity(2, 2)),
+        (lambda: SubexceedantFunction([1, 2]), lambda: SubexceedantFunction((1, 2))),
+        (lambda: InversionTable(2, 2, [3, 1]), lambda: InversionTable(2, 2, (3, 1))),
+        (lambda: MixedRadixNumber(3, [1, 2]), lambda: MixedRadixNumber(3, (1, 2))),
+    ],
+    ids=["GroupElement", "SubexceedantFunction", "InversionTable", "MixedRadixNumber"],
+)
+def test_list_fields_are_stored_as_tuples(from_lists, from_tuples):
+    a, b = from_lists(), from_tuples()
+    assert a == b and hash(a) == hash(b)
+    assert fields_of(a) == fields_of(b)
