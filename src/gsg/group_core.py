@@ -8,7 +8,8 @@ numerically; all arithmetic stays in the integers mod m.
 
 Window text format (bit-exact): entries separated by a single space, each
 entry an optional prefix ``[c]`` with ``1 <= c <= m-1`` followed by the
-decimal value; color 0 carries no prefix.  Example: ``"[2]3 [4]1 [1]6 5"``.
+decimal value; color 0 carries no prefix and no number has a leading zero.
+Example: ``"[2]3 [4]1 [1]6 5"``.
 
 Products compose like functions: ``multiply(u, v)`` applies ``v`` first,
 sending ``k`` to ``u(v(k))`` on colored values.
@@ -297,6 +298,8 @@ def parse_window(text: str, m: int) -> GroupElement:
         match = _ENTRY_RE.fullmatch(entry)
         if match is None:
             raise WindowParseError(f"entry {pos} ({entry!r}) is malformed")
+        if any(g[0] == "0" and len(g) > 1 for g in match.groups() if g):
+            raise WindowParseError(f"entry {pos} ({entry!r}) has a leading zero")
         color = int(match.group(1)) if match.group(1) is not None else 0
         value = int(match.group(2))
         if match.group(1) is not None:

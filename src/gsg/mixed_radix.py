@@ -181,7 +181,7 @@ def _encode(x: int, m: int, lo: int, hi: int, out: list[int]) -> int:
     return _encode(high, m, mid, hi, out)
 
 
-def _decode(m: int, digits: tuple[int, ...], lo: int, hi: int) -> int:
+def _decode(m: int, digits: list[int] | tuple[int, ...], lo: int, hi: int) -> int:
     """The digits at positions ``lo .. hi-1``, in units of the weight of ``lo``."""
     # a split pays for its product only once each half is about a leaf wide
     if hi - lo <= 2 * _LEAF:

@@ -23,7 +23,7 @@ from typing import Literal
 
 from .errors import BudgetExceeded, IndexOutOfRange, RankOutOfRange, UnsupportedRadix
 from .group_core import DEFAULT_BUDGET, GroupElement, enumerate_group, group_order
-from .mixed_radix import MixedRadixNumber, Value, decode, encode_width, slot_setters
+from .mixed_radix import Value, _decode, _encode, slot_setters
 
 __all__ = [
     "Root",
@@ -234,7 +234,7 @@ class InversionTable(Value):
         _set_entries(self, tuple(entries))
 
     def __str__(self) -> str:
-        return ":".join(str(e) for e in self.entries)
+        return ":".join(map(str, self.entries))
 
 
 _set_table_m, _set_table_n, _set_entries = slot_setters(InversionTable)
@@ -242,13 +242,15 @@ _set_table_m, _set_table_n, _set_entries = slot_setters(InversionTable)
 
 def inversion_table(w: GroupElement) -> InversionTable:
     """All i-inversions via the closed form, in one pass."""
-    return InversionTable(w.m, w.n, tuple(reversed(_inversions(w))))
+    entries = _inversions(w)
+    entries.reverse()
+    return InversionTable(w.m, w.n, entries)
 
 
 def rank(w: GroupElement) -> int:
     """1-based position of ``w`` in the inversion-table enumeration."""
     # in position order, the i-inversion numbers are the digits least significant first
-    return decode(MixedRadixNumber._unchecked(w.m, tuple(_inversions(w)))) + 1
+    return _decode(w.m, _inversions(w), 0, w.n) + 1
 
 
 def unrank(r: int, m: int, n: int) -> GroupElement:
@@ -264,7 +266,8 @@ def unrank(r: int, m: int, n: int) -> GroupElement:
     order = group_order(m, n)
     if not 1 <= r <= order:
         raise RankOutOfRange(f"rank {r} outside 1..{order}")
-    digits = encode_width(r - 1, m, n).digits
+    digits = [0] * n
+    _encode(r - 1, m, 0, n, digits)
     remaining = list(range(1, n + 1))
     beta = [0] * n
     colors = [0] * n
@@ -370,6 +373,14 @@ class QPolynomial(Value):
 (_set_coeffs,) = slot_setters(QPolynomial)
 
 
+def _decimal(x: int) -> str:
+    """``x`` in decimal, or its bit length past the int-to-str digit limit."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"<{x.bit_length()}-bit number>"
+
+
 def poincare(m: int, n: int, budget: int = DEFAULT_BUDGET) -> QPolynomial:
     """The product of the q-integers ``[im]_q`` for ``i = 1..n``, exactly.
 
@@ -383,7 +394,8 @@ def poincare(m: int, n: int, budget: int = DEFAULT_BUDGET) -> QPolynomial:
     updates = n * (m * n * (n + 1) // 2 - n + 1)
     if updates > budget:
         raise BudgetExceeded(
-            f"{updates} coefficient updates for G({m},1,{n}) exceed budget {budget}"
+            f"{_decimal(updates)} coefficient updates for"
+            f" G({_decimal(m)},1,{_decimal(n)}) exceed budget {_decimal(budget)}"
         )
     coeffs = [1]
     for k in range(m, m * n + 1, m):
@@ -407,7 +419,7 @@ def histogram(
     ``L`` needs m >= 2; :func:`length_L_oracle` is the root count.
     """
     if statistic == "inv":
-        stat = lambda w: sum(inversion_table(w).entries)
+        stat = lambda w: sum(_inversions(w))
     elif statistic == "fmaj":
         stat = fmaj
     elif statistic == "L":

@@ -1,9 +1,8 @@
 """Whole-group property sweeps backing the ``gsg verify`` subcommand.
 
-The budget is checked once, before any other work.  The per-element checks
-share one pass over the group, each reading its own functions so that a
-fault fails one check alone; the two equidistribution histograms sweep it
-twice more.
+The budget is checked once, before any other work.  Every per-element
+check, and both equidistribution histograms, share one pass over the group,
+each reading its own functions so that a fault fails one check alone.
 """
 
 from __future__ import annotations
@@ -21,9 +20,9 @@ from .group_core import (
 )
 from .statistics import (
     _block_roots,
-    _delta_roots,
+    _inversions,
     _negatives,
-    histogram,
+    fmaj,
     inv_closed,
     inversion_table,
     poincare,
@@ -71,12 +70,15 @@ def run_property_checks(
     """
     elements = enumerate_group(m, n, budget)  # checks the budget before any work
     e = identity(m, n)
+    order = group_order(m, n)
     inverse_ok = rank_ok = True
     oracle_ok = additive_ok = m >= 2
     if m >= 2:
+        # the blocks partition the simple-side set: their counts sum to the length
         blocks = [_block_roots(m, n, i) for i in range(1, n + 1)]
-        roots = _delta_roots(m, n)
-    seen = set()
+    hit = bytearray(order + 1)  # hit[r]: rank r already taken
+    inv_counts: dict[int, int] = {}
+    fmaj_counts: dict[int, int] = {}
     for w in elements:
         if inverse_ok:
             v = inverse(w)
@@ -84,22 +86,24 @@ def run_property_checks(
                 inverse_ok = False
         if rank_ok:
             r = rank(w)
-            if r in seen or unrank(r, m, n) != w:
+            if not 1 <= r <= order or hit[r] or unrank(r, m, n) != w:
                 rank_ok = False
-            seen.add(r)
-        if oracle_ok:
-            for i, block in enumerate(blocks, start=1):
-                if _negatives(w, block) != inv_closed(w, i):
-                    oracle_ok = False
-                    break
-        if additive_ok and sum(inversion_table(w).entries) != _negatives(w, roots):
-            additive_ok = False
-    rank_ok = rank_ok and seen == set(range(1, group_order(m, n) + 1))
-    expected = poincare(m, n)
-    equidistributed = (
-        histogram("inv", m, n, budget) == expected
-        and histogram("fmaj", m, n, budget) == expected
-    )
+            else:
+                hit[r] = 1
+        if oracle_ok or additive_ok:
+            counts = [_negatives(w, block) for block in blocks]
+            if oracle_ok and counts != [inv_closed(w, i) for i in range(1, n + 1)]:
+                oracle_ok = False
+            if additive_ok and sum(inversion_table(w).entries) != sum(counts):
+                additive_ok = False
+        k = sum(_inversions(w))
+        inv_counts[k] = inv_counts.get(k, 0) + 1
+        k = fmaj(w)
+        fmaj_counts[k] = fmaj_counts.get(k, 0) + 1
+    # distinct ranks in 1..order, one per element, cover 1..order
+    rank_ok = rank_ok and hit.count(1) == order
+    expected = {k: c for k, c in enumerate(poincare(m, n).coeffs) if c}
+    equidistributed = inv_counts == expected and fmaj_counts == expected
     results = [
         ("presentation relations", _check_presentation(m, n)),
         ("inverse law", inverse_ok),

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import gsg.statistics
 import gsg.verify
 from gsg.cli import main
 from gsg.errors import BudgetExceeded
@@ -240,6 +241,34 @@ def test_verify_rank_bijection_catches_one_wrong_unrank(monkeypatch):
     assert_only_check_fails("rank bijection")
 
 
+def test_verify_equidistribution_catches_one_wrong_fmaj(monkeypatch):
+    real, target = gsg.verify.fmaj, parse_window("[2]3 [1]1 2", 3)
+    monkeypatch.setattr(gsg.verify, "fmaj", lambda w: real(w) + (w == target))
+    assert_only_check_fails("equidistribution inv/fmaj/poincare")
+
+
+# target has rank 27: 26 repeats another element's rank, 0 and 163 lie outside 1..162
+@pytest.mark.parametrize("wrong", [26, 0, 163])
+def test_verify_rank_bijection_catches_one_wrong_rank(monkeypatch, wrong):
+    real, target = gsg.verify.rank, parse_window("[2]3 [1]1 2", 3)
+    monkeypatch.setattr(gsg.verify, "rank", lambda w: wrong if w == target else real(w))
+    assert_only_check_fails("rank bijection")
+
+
+def test_verify_enumerates_the_group_once(monkeypatch):
+    real, calls = gsg.verify.enumerate_group, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    # histogram's sweeps would count too
+    for module in (gsg.verify, gsg.statistics):
+        monkeypatch.setattr(module, "enumerate_group", counting)
+    assert all(ok for _, ok in run_property_checks(3, 3))
+    assert len(calls) == 1
+
+
 def test_text_encode(capsys):
     code, out, _ = run(capsys, "text-encode", "--m", "7", PANGRAM)
     assert code == 0
@@ -272,6 +301,13 @@ def test_parse_errors_exit_2(capsys):
     assert code == 2 and "--n" in err
     code, _, err = run(capsys, "element", "encode", "--m", "3", "--n", "3", "--", "-7")
     assert code == 2
+
+
+@pytest.mark.parametrize("window", ["[01]2 01", "[01]2 1", "02 1", "[1]2 01"])
+def test_leading_zero_entries_exit_2(capsys, window):
+    code, out, err = run(capsys, "rank", "--m", "3", window)
+    assert (code, out) == (2, "")
+    assert "leading zero" in err
 
 
 def test_color_prefix_at_m_1_exits_2(capsys):

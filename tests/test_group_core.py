@@ -223,6 +223,14 @@ def test_window_parse_errors_name_the_entry():
         parse_window("", 3)
 
 
+@pytest.mark.parametrize(
+    "text,pos", [("[01]2 1", 1), ("02 1", 1), ("[1]2 01", 2), ("1 [02]2", 2), ("00 1", 1)]
+)
+def test_window_parse_rejects_leading_zeros(text, pos):
+    with pytest.raises(WindowParseError, match=rf"entry {pos} \('.*'\) has a leading zero"):
+        parse_window(text, 3)
+
+
 def test_element_validation():
     with pytest.raises(ValueError):
         GroupElement(3, 3, (1, 1, 2), (0, 0, 0))

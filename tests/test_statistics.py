@@ -2,13 +2,14 @@
 
 import itertools
 import random
+import sys
 from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsg.errors import IndexOutOfRange, RankOutOfRange, UnsupportedRadix
+from gsg.errors import BudgetExceeded, IndexOutOfRange, RankOutOfRange, UnsupportedRadix
 from gsg.group_core import (
     GroupElement,
     canonical_length,
@@ -23,12 +24,13 @@ from gsg.group_core import (
     parse_window,
     power,
 )
-from gsg.mixed_radix import MixedRadixNumber, encode, encode_width
+from gsg.mixed_radix import MixedRadixNumber, decode, encode, encode_width
 from gsg.statistics import (
     QPolynomial,
     Root,
     _block_roots,
     _delta_roots,
+    _inversions,
     _negatives,
     act,
     all_roots,
@@ -193,6 +195,14 @@ def test_tuple_root_counter_matches_root_classifier_exhaustive(m, n):
             assert _negatives(w, [t]) == is_negative(act(w, Root(*t)))
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_blocks_partition_delta(m, n):
+    # verify sums the block counts in place of counting the simple-side set again
+    blocks = [r for i in range(1, n + 1) for r in _block_roots(m, n, i)]
+    assert sorted(blocks) == sorted(_delta_roots(m, n))
+
+
 def test_oracle_matches_closed_form_random_big():
     rng = random.Random(20250809)
     betas = list(range(1, 7))
@@ -328,6 +338,22 @@ def test_poincare():
     for m, n in [(2, 2), (3, 3), (4, 2), (2, 4)]:
         assert poincare(m, n).degree == length_L(longest_element(m, n))
         assert sum(poincare(m, n).coeffs) == m**n * factorial(n)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+def test_poincare_budget_message_past_the_str_digit_limit():
+    # the gsg command lifts the limit for its process: pin the default here
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        # the update count has about 6000 decimal digits, m and n 1501 each
+        with pytest.raises(BudgetExceeded) as exc:
+            poincare(10**1500, 10**1500)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(exc.value).startswith("<19931-bit number> coefficient updates for G(1000")
 
 
 @settings(max_examples=60, deadline=None)
@@ -527,3 +553,47 @@ def test_fmaj_matches_adin_roichman_property(w):
 @given(large_elements())
 def test_phi_transports_inversion_table_to_exponents_property(w):
     assert fmaj_exponents(phi(w)) == list(inversion_table(w).entries[::-1])
+
+
+def unrank_oracle(r, m, n):
+    """Unrank through a checked ``MixedRadixNumber`` from ``encode_width``."""
+    digits = encode_width(r - 1, m, n).digits
+    remaining = list(range(1, n + 1))
+    beta, colors = [0] * n, [0] * n
+    for p in range(n - 1, -1, -1):
+        d, k = digits[p], len(remaining)
+        if d < k:
+            beta[p] = remaining.pop(k - 1 - d)
+        else:
+            idx, c = divmod(d - k, m - 1)
+            beta[p] = remaining.pop(idx)
+            colors[p] = c + 1
+    return GroupElement(m, n, beta, colors)
+
+
+def rank_oracle(w):
+    """Rank by decoding a checked ``MixedRadixNumber`` of the inversion numbers."""
+    return decode(MixedRadixNumber(w.m, tuple(_inversions(w)))) + 1
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6), st.integers(1, 2000), st.data())
+def test_rank_and_unrank_match_the_mixed_radix_number_path_property(m, n, data):
+    # hypothesis's own picks favour small ranks; the uniform ones fill every digit
+    order = group_order(m, n)
+    uniform = st.randoms(use_true_random=False).map(lambda rnd: rnd.randint(1, order))
+    r = data.draw(st.integers(1, order) | uniform)
+    w = unrank(r, m, n)
+    assert w.window() == unrank_oracle(r, m, n).window()
+    assert rank(w) == rank_oracle(w) == r
+
+
+@settings(deadline=None)
+@given(large_elements())
+def test_text_forms_match_the_generator_joins_property(w):
+    table = inversion_table(w)
+    assert table.entries == tuple(reversed(_inversions(w)))
+    assert str(table) == ":".join(str(e) for e in table.entries)
+    assert w.window() == " ".join(
+        f"[{c}]{v}" if c else str(v) for v, c in zip(w.beta, w.colors)
+    )
