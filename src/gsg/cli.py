@@ -38,63 +38,51 @@ def _integer(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # each shared option is declared once and reaches a command through parents=
+    m, n, budget = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    m.add_argument("--m", type=_integer, required=True)
+    n.add_argument("--n", type=_integer, required=True)
+    budget.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET)
+
     parser = argparse.ArgumentParser(
         prog="gsg",
         description="Integer representations and statistics of m-colored permutations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("convert", help="integer <-> mixed-radix digit string")
-    p.add_argument("--m", type=_integer, required=True)
+    def command(name, run, help, *parents):
+        p = sub.add_parser(name, help=help, parents=parents)
+        p.set_defaults(run=run)
+        return p
+
+    p = command("convert", _cmd_convert, "integer <-> mixed-radix digit string", m)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--to-digits", type=_integer, metavar="X")
     group.add_argument("--to-int", metavar="DIGITS")
 
-    p = sub.add_parser("element", help="integer <-> group element window")
+    p = command("element", _cmd_element, "integer <-> group element window")
     esub = p.add_subparsers(dest="action", required=True)
-    enc = esub.add_parser("encode", help="integer to window")
-    enc.add_argument("--m", type=_integer, required=True)
-    enc.add_argument("--n", type=_integer, required=True)
+    enc = esub.add_parser("encode", help="integer to window", parents=[m, n])
     enc.add_argument("x", type=_integer)
-    dec = esub.add_parser("decode", help="window to integer")
-    dec.add_argument("--m", type=_integer, required=True)
-    dec.add_argument("window")
+    esub.add_parser("decode", help="window to integer", parents=[m]).add_argument("window")
 
-    p = sub.add_parser("rank", help="1-based rank of a window")
-    p.add_argument("--m", type=_integer, required=True)
-    p.add_argument("window")
-
-    p = sub.add_parser("unrank", help="window at a 1-based rank")
-    p.add_argument("--m", type=_integer, required=True)
-    p.add_argument("--n", type=_integer, required=True)
+    command("rank", _cmd_rank, "1-based rank of a window", m).add_argument("window")
+    p = command("unrank", _cmd_unrank, "window at a 1-based rank", m, n)
     p.add_argument("rank", type=_integer)
 
-    p = sub.add_parser("stats", help="all statistics of a window, as JSON")
-    p.add_argument("--m", type=_integer, required=True)
+    p = command("stats", _cmd_stats, "all statistics of a window, as JSON", m, budget)
     p.add_argument("--bfs", action="store_true", help="also compute word length")
-    p.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET)
     p.add_argument("window")
 
-    p = sub.add_parser("table", help="the whole group in rank order")
-    p.add_argument("--m", type=_integer, required=True)
-    p.add_argument("--n", type=_integer, required=True)
+    p = command("table", _cmd_table, "the whole group in rank order", m, n, budget)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET)
 
-    p = sub.add_parser("poincare", help="coefficients of the length generating function")
-    p.add_argument("--m", type=_integer, required=True)
-    p.add_argument("--n", type=_integer, required=True)
-    p.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET)
-
-    p = sub.add_parser("verify", help="run the whole-group invariant sweep")
-    p.add_argument("--m", type=_integer, required=True)
-    p.add_argument("--n", type=_integer, required=True)
-    p.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET)
-
-    p = sub.add_parser("text-encode", help="text to integer to digit string")
-    p.add_argument("--m", type=_integer, required=True)
+    command(
+        "poincare", _cmd_poincare, "coefficients of the length generating function", m, n, budget
+    )
+    command("verify", _cmd_verify, "run the whole-group invariant sweep", m, n, budget)
+    p = command("text-encode", _cmd_text_encode, "text to integer to digit string", m)
     p.add_argument("text")
-
     return parser
 
 
@@ -197,19 +185,6 @@ def _cmd_text_encode(args) -> int:
     return EXIT_OK
 
 
-_DISPATCH = {
-    "convert": _cmd_convert,
-    "element": _cmd_element,
-    "rank": _cmd_rank,
-    "unrank": _cmd_unrank,
-    "stats": _cmd_stats,
-    "table": _cmd_table,
-    "poincare": _cmd_poincare,
-    "verify": _cmd_verify,
-    "text-encode": _cmd_text_encode,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     # integers, digit strings and text codes may run past 4300 decimal digits
     if hasattr(sys, "set_int_max_str_digits"):
@@ -221,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: --{field} must be >= {minimum}, got {value}", file=sys.stderr)
             return EXIT_PARSE
     try:
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except (WindowParseError, DigitBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -123,6 +123,21 @@ def group_order(m: int, n: int) -> int:
     return m**n * factorial(n)
 
 
+_DECIMAL_BOUND = 10**4300  # CPython's default int-to-str limit, in decimal digits
+
+
+def _decimal(x: int) -> str:
+    """``x`` in decimal, or its bit length past 4300 digits, or past a lower
+    int-to-str limit where ``str`` raises.  The bound is fixed because the
+    ``gsg`` command lifts the limit for its whole process."""
+    if abs(x) < _DECIMAL_BOUND:
+        try:
+            return str(x)
+        except ValueError:
+            pass
+    return f"<{x.bit_length()}-bit number>"
+
+
 def _require_budget(m: int, n: int, budget: int) -> int:
     """The order m^n n!, or :class:`BudgetExceeded` once the product of the
     radices m*i passes ``budget``: O(log budget) steps for any n."""
@@ -130,7 +145,9 @@ def _require_budget(m: int, n: int, budget: int) -> int:
     for i in range(1, n + 1):
         order *= m * i
         if order > budget:
-            raise BudgetExceeded(f"order of G({m},1,{n}) exceeds budget {budget}")
+            raise BudgetExceeded(
+                f"order of G({_decimal(m)},1,{_decimal(n)}) exceeds budget {_decimal(budget)}"
+            )
     return order
 
 

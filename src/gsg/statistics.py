@@ -22,8 +22,8 @@ from operator import sub
 from typing import Literal
 
 from .errors import BudgetExceeded, IndexOutOfRange, RankOutOfRange, UnsupportedRadix
-from .group_core import DEFAULT_BUDGET, GroupElement, enumerate_group, group_order
-from .mixed_radix import Value, _decode, _encode, slot_setters
+from .group_core import DEFAULT_BUDGET, GroupElement, _decimal, enumerate_group
+from .mixed_radix import Value, _decode, _encode, _radix_product, slot_setters
 
 __all__ = [
     "Root",
@@ -263,7 +263,9 @@ def unrank(r: int, m: int, n: int) -> GroupElement:
     m - 1)`` gives the index among the remaining values in ascending order
     and the color minus 1.  O(n^2) in all.
     """
-    order = group_order(m, n)
+    if m < 1 or n < 1:
+        raise ValueError("need m >= 1 and n >= 1")
+    order = _radix_product(m, 0, n)
     if not 1 <= r <= order:
         raise RankOutOfRange(f"rank {r} outside 1..{order}")
     digits = [0] * n
@@ -371,14 +373,6 @@ class QPolynomial(Value):
 
 
 (_set_coeffs,) = slot_setters(QPolynomial)
-
-
-def _decimal(x: int) -> str:
-    """``x`` in decimal, or its bit length past the int-to-str digit limit."""
-    try:
-        return str(x)
-    except ValueError:
-        return f"<{x.bit_length()}-bit number>"
 
 
 def poincare(m: int, n: int, budget: int = DEFAULT_BUDGET) -> QPolynomial:

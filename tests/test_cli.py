@@ -303,6 +303,38 @@ def test_parse_errors_exit_2(capsys):
     assert code == 2
 
 
+# every command form with its shared options, each at a valid value
+COMMAND_FORMS = [
+    ("convert", {"--m": "3"}, ["--to-digits", "5"]),
+    ("element encode", {"--m": "3", "--n": "3"}, ["7"]),
+    ("element decode", {"--m": "3"}, ["2 1"]),
+    ("rank", {"--m": "3"}, ["2 1"]),
+    ("unrank", {"--m": "3", "--n": "3"}, ["1"]),
+    ("stats", {"--m": "3", "--budget": "100"}, ["2 1"]),
+    ("table", {"--m": "3", "--n": "2", "--budget": "100"}, []),
+    ("poincare", {"--m": "3", "--n": "2", "--budget": "100"}, []),
+    ("verify", {"--m": "3", "--n": "2", "--budget": "100"}, []),
+    ("text-encode", {"--m": "3"}, ["Hi"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command,options,rest,zeroed",
+    [
+        (command, options, rest, option)
+        for command, options, rest in COMMAND_FORMS
+        for option in options
+    ],
+)
+def test_shared_option_below_1_exits_2(capsys, command, options, rest, zeroed):
+    argv = command.split()
+    for option, value in options.items():
+        argv += [option, "0" if option == zeroed else value]
+    code, out, err = run(capsys, *argv, *rest)
+    assert (code, out) == (2, "")
+    assert zeroed in err
+
+
 @pytest.mark.parametrize("window", ["[01]2 01", "[01]2 1", "02 1", "[1]2 01"])
 def test_leading_zero_entries_exit_2(capsys, window):
     code, out, err = run(capsys, "rank", "--m", "3", window)

@@ -159,6 +159,7 @@ def test_budget_message_is_short_at_any_str_digit_limit(limit):
         for call in (
             lambda: enumerate_group(2, 2000, 10),
             lambda: canonical_length(identity(2, 2000), 10),
+            lambda: enumerate_group(10**5000, 1, 10),  # m past 4300 digits
         ):
             with pytest.raises(BudgetExceeded) as exc:
                 call()

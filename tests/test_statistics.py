@@ -238,6 +238,19 @@ def test_unrank_examples():
         unrank(163, 3, 3)
 
 
+def test_unrank_bounds():
+    # exactly one past each end of 1..m^n n!, and no group below m = 1 or n = 1
+    for m in range(1, 6):
+        for n in range(1, 9):
+            order = m**n * factorial(n)
+            for r in (0, order + 1):
+                with pytest.raises(RankOutOfRange):
+                    unrank(r, m, n)
+    for m, n in [(0, 3), (3, 0), (-1, 2), (0, 0)]:
+        with pytest.raises(ValueError):
+            unrank(1, m, n)
+
+
 @pytest.mark.parametrize("m,n", [(2, 3), (4, 2), (3, 3)])
 def test_rank_order_is_lex_order_of_tables(m, n):
     # the table map covers the whole digit box, and sorting by rank sorts
