@@ -129,8 +129,7 @@ def _cmd_stats(args) -> int:
         "L": sum(table.entries),
         "fmaj": sum(exponents),
         "fmaj_exponents": exponents,
-        # rank: the table, least significant entry first, decoded plus one
-        "rank": decode(MixedRadixNumber._unchecked(w.m, table.entries[::-1])) + 1,
+        "rank": rank(w),
         "subexceedant_digits": str(digits),
         "integer_rep": decode(digits),
     }

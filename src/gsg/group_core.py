@@ -244,12 +244,6 @@ def longest_element(m: int, n: int) -> GroupElement:
     return GroupElement(m, n, tuple(range(1, n + 1)), (m - 1,) * n)
 
 
-def _standard_generators(m: int, n: int) -> list[GroupElement]:
-    gens = [gen_t(m, n, 1)]
-    gens += [gen_s(m, n, i) for i in range(1, n)]
-    return gens
-
-
 def canonical_length(w: GroupElement, budget: int = DEFAULT_BUDGET) -> int:
     """Length of the shortest positive word in the standard generators.
 
@@ -258,7 +252,7 @@ def canonical_length(w: GroupElement, budget: int = DEFAULT_BUDGET) -> int:
     transpositions are involutions and ``t_1`` has finite order).
     """
     _require_budget(w.m, w.n, budget)
-    gens = _standard_generators(w.m, w.n)
+    gens = [gen_t(w.m, w.n, 1)] + [gen_s(w.m, w.n, i) for i in range(1, w.n)]
     start = identity(w.m, w.n)
     if w == start:
         return 0
@@ -288,14 +282,12 @@ def enumerate_group(
     The budget is checked at call time, not at first iteration.
     """
     _require_budget(m, n, budget)
-
-    def generate():
-        build = GroupElement._unchecked
-        for beta in itertools.permutations(range(1, n + 1)):
-            for colors in itertools.product(range(m), repeat=n):
-                yield build(m, n, beta, colors)
-
-    return generate()
+    build = GroupElement._unchecked
+    return (
+        build(m, n, beta, colors)
+        for beta in itertools.permutations(range(1, n + 1))
+        for colors in itertools.product(range(m), repeat=n)
+    )
 
 
 def parse_window(text: str, m: int) -> GroupElement:
@@ -306,9 +298,9 @@ def parse_window(text: str, m: int) -> GroupElement:
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    entries = text.split(" ") if text else []
-    if not entries or entries == [""]:
+    if not text:
         raise WindowParseError("empty window")
+    entries = text.split(" ")
     beta = []
     colors = []
     for pos, entry in enumerate(entries, start=1):

@@ -17,6 +17,7 @@ statistic onto the flag-major index.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from itertools import accumulate
 from operator import sub
 from typing import Literal
@@ -267,7 +268,7 @@ def unrank(r: int, m: int, n: int) -> GroupElement:
         raise ValueError("need m >= 1 and n >= 1")
     order = _radix_product(m, 0, n)
     if not 1 <= r <= order:
-        raise RankOutOfRange(f"rank {r} outside 1..{order}")
+        raise RankOutOfRange(f"rank {_decimal(r)} outside 1..{_decimal(order)}")
     digits = [0] * n
     _encode(r - 1, m, 0, n, digits)
     remaining = list(range(1, n + 1))
@@ -420,11 +421,5 @@ def histogram(
         stat = length_L
     else:
         raise ValueError(f"unknown statistic {statistic!r}")
-    counts: dict[int, int] = {}
-    for w in enumerate_group(m, n, budget):
-        k = stat(w)
-        counts[k] = counts.get(k, 0) + 1
-    coeffs = [0] * (max(counts) + 1 if counts else 0)
-    for k, c in counts.items():
-        coeffs[k] = c
-    return QPolynomial(tuple(coeffs))
+    counts = Counter(map(stat, enumerate_group(m, n, budget)))
+    return QPolynomial(tuple(counts[k] for k in range(max(counts) + 1)))

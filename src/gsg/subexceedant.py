@@ -66,8 +66,6 @@ def psi(f: SubexceedantFunction) -> tuple[int, ...]:
     window = list(range(1, n + 1))
     pos = [0] + list(range(n))  # pos[v] = 0-based index of value v; pos[0] unused
     for i, fi in enumerate(f.values, start=1):
-        if fi == i:
-            continue
         pi, pf = pos[i], pos[fi]
         window[pi], window[pf] = window[pf], window[pi]
         pos[i], pos[fi] = pf, pi

@@ -7,6 +7,8 @@ each reading its own functions so that a fault fails one check alone.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .group_core import (
     DEFAULT_BUDGET,
     enumerate_group,
@@ -77,8 +79,7 @@ def run_property_checks(
         # the blocks partition the simple-side set: their counts sum to the length
         blocks = [_block_roots(m, n, i) for i in range(1, n + 1)]
     hit = bytearray(order + 1)  # hit[r]: rank r already taken
-    inv_counts: dict[int, int] = {}
-    fmaj_counts: dict[int, int] = {}
+    inv_counts, fmaj_counts = Counter(), Counter()
     for w in elements:
         if inverse_ok:
             v = inverse(w)
@@ -96,10 +97,8 @@ def run_property_checks(
                 oracle_ok = False
             if additive_ok and sum(inversion_table(w).entries) != sum(counts):
                 additive_ok = False
-        k = sum(_inversions(w))
-        inv_counts[k] = inv_counts.get(k, 0) + 1
-        k = fmaj(w)
-        fmaj_counts[k] = fmaj_counts.get(k, 0) + 1
+        inv_counts[sum(_inversions(w))] += 1
+        fmaj_counts[fmaj(w)] += 1
     # distinct ranks in 1..order, one per element, cover 1..order
     rank_ok = rank_ok and hit.count(1) == order
     expected = {k: c for k, c in enumerate(poincare(m, n).coeffs) if c}

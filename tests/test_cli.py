@@ -13,9 +13,10 @@ import gsg.statistics
 import gsg.verify
 from gsg.cli import main
 from gsg.errors import BudgetExceeded
-from gsg.group_core import parse_window
+from gsg.group_core import GroupElement, parse_window
 from gsg.mixed_radix import MixedRadixNumber, decode, encode
-from gsg.statistics import InversionTable, inversion_table, unrank
+from gsg.statistics import InversionTable, _inversions, inversion_table, unrank
+from gsg.subexceedant import integer_of_element
 from gsg.verify import run_property_checks
 
 GOLDEN = Path(__file__).parent / "data" / "table_3_3_golden.csv"
@@ -96,6 +97,25 @@ def test_stats(capsys):
     code, out, _ = run(capsys, "stats", "--m", "3", "--bfs", "1 [1]2 3")
     payload = json.loads(out)
     assert payload["canonical_length"] == 3
+
+
+# capsys is read out after every command, so sharing it across examples is safe
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.integers(1, 5), st.integers(1, 60), st.data())
+def test_stats_rank_and_integer_rep_property(capsys, m, n, data):
+    beta = data.draw(st.permutations(range(1, n + 1)))
+    colors = data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    w = GroupElement(m, n, tuple(beta), tuple(colors))
+    code, out, err = run(capsys, "stats", "--m", str(m), w.window())
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    # the i-inversion numbers in position order, least significant digit first
+    assert payload["rank"] == decode(MixedRadixNumber(m, tuple(_inversions(w)))) + 1
+    assert payload["integer_rep"] == integer_of_element(w)
 
 
 def test_table_matches_golden_file(capsys):

@@ -51,6 +51,7 @@ from gsg.statistics import (
     unrank,
 )
 from gsg.subexceedant import digits_of_element, element_of_integer
+from gsg.verify import run_property_checks
 
 W_BIG = "[2]3 [4]1 [1]6 5 [1]4 [2]2"
 
@@ -369,6 +370,23 @@ def test_poincare_budget_message_past_the_str_digit_limit():
     assert str(exc.value).startswith("<19931-bit number> coefficient updates for G(1000")
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+def test_unrank_range_message_past_the_str_digit_limit():
+    # the order of G(2,1,2000) has over 6000 decimal digits
+    order = group_order(2, 2000)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for r in (0, order + 1):
+            with pytest.raises(RankOutOfRange) as exc:
+                unrank(r, 2, 2000)
+            assert str(exc.value).endswith(f"outside 1..<{order.bit_length()}-bit number>")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 8))
 def test_poincare_matches_schoolbook_product_property(m, n):
@@ -396,6 +414,22 @@ def test_equidistribution(m, n):
 def test_histogram_radix_one():
     assert histogram("inv", 1, 3) == poincare(1, 3)
     assert histogram("fmaj", 1, 3) == poincare(1, 3)
+
+
+def test_histogram_rejects_an_unknown_statistic_before_the_budget():
+    with pytest.raises(ValueError) as exc:
+        histogram("maj", 2, 60, budget=10)
+    assert not isinstance(exc.value, BudgetExceeded)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_groups_of_one_position(m):
+    # G(m,1,1) is the cyclic group of the m colors of the single value 1
+    for statistic in ("inv", "fmaj") + (("L",) if m >= 2 else ()):
+        assert histogram(statistic, m, 1) == poincare(m, 1)
+    assert all(ok for _, ok in run_property_checks(m, 1))
+    assert len(set(enumerate_group(m, 1))) == m
+    assert canonical_length(longest_element(m, 1)) == m - 1
 
 
 def test_length_functions_coincide_for_radix_two():
