@@ -185,16 +185,18 @@ def _cmd_text_encode(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # integers, digit strings and text codes may run past 4300 decimal digits
-    if hasattr(sys, "set_int_max_str_digits"):
+    # integers, digit strings and text codes may run past 4300 decimal digits:
+    # the int<->str limit is lifted for the command and then put back
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
         sys.set_int_max_str_digits(0)
-    args = _build_parser().parse_args(argv)
-    for field, minimum in (("m", 1), ("n", 1), ("budget", 1)):
-        value = getattr(args, field, None)
-        if value is not None and value < minimum:
-            print(f"error: --{field} must be >= {minimum}, got {value}", file=sys.stderr)
-            return EXIT_PARSE
-    try:
+    try:  # parse_args leaves through SystemExit, which only the finally sees
+        args = _build_parser().parse_args(argv)
+        for field, minimum in (("m", 1), ("n", 1), ("budget", 1)):
+            value = getattr(args, field, None)
+            if value is not None and value < minimum:
+                print(f"error: --{field} must be >= {minimum}, got {value}", file=sys.stderr)
+                return EXIT_PARSE
         return args.run(args)
     except (WindowParseError, DigitBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -205,6 +207,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes, so user-facing operations
-raise one of the classes below rather than bare ValueError/RuntimeError.
+The CLI maps these onto process exit codes.  Bad ``m``, ``n``, width or
+statistic arguments to library calls (``encode``, ``weights``, ``unrank``,
+``poincare``, ``histogram``, the value constructors, ...) raise bare
+ValueError; the CLI checks those arguments itself before calling.
 Plain OverflowError (builtin) is reserved for integers that do not fit
 a requested digit width.
 """

@@ -20,8 +20,8 @@ from __future__ import annotations
 import itertools
 import re
 from collections import deque
+from collections.abc import Iterator
 from math import factorial
-from typing import Iterator
 
 from .errors import (
     BudgetExceeded,
@@ -129,7 +129,7 @@ _DECIMAL_BOUND = 10**4300  # CPython's default int-to-str limit, in decimal digi
 def _decimal(x: int) -> str:
     """``x`` in decimal, or its bit length past 4300 digits, or past a lower
     int-to-str limit where ``str`` raises.  The bound is fixed because the
-    ``gsg`` command lifts the limit for its whole process."""
+    ``gsg`` command lifts the limit while it runs."""
     if abs(x) < _DECIMAL_BOUND:
         try:
             return str(x)
@@ -141,6 +141,8 @@ def _decimal(x: int) -> str:
 def _require_budget(m: int, n: int, budget: int) -> int:
     """The order m^n n!, or :class:`BudgetExceeded` once the product of the
     radices m*i passes ``budget``: O(log budget) steps for any n."""
+    if m < 1 or n < 1:
+        raise ValueError("need m >= 1 and n >= 1")
     order = 1
     for i in range(1, n + 1):
         order *= m * i

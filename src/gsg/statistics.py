@@ -20,7 +20,6 @@ from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate
 from operator import sub
-from typing import Literal
 
 from .errors import BudgetExceeded, IndexOutOfRange, RankOutOfRange, UnsupportedRadix
 from .group_core import DEFAULT_BUDGET, GroupElement, _decimal, enumerate_group
@@ -361,8 +360,6 @@ class QPolynomial(Value):
         return len(self.coeffs) - 1
 
     def __mul__(self, other: "QPolynomial") -> "QPolynomial":
-        if not self.coeffs or not other.coeffs:
-            return QPolynomial(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
@@ -402,13 +399,11 @@ def poincare(m: int, n: int, budget: int = DEFAULT_BUDGET) -> QPolynomial:
     return QPolynomial(tuple(coeffs))
 
 
-Statistic = Literal["inv", "fmaj", "L"]
-
-
 def histogram(
-    statistic: Statistic, m: int, n: int, budget: int = DEFAULT_BUDGET
+    statistic: str, m: int, n: int, budget: int = DEFAULT_BUDGET
 ) -> QPolynomial:
-    """Coefficient ``c_k`` counts the elements with statistic value ``k``.
+    """Coefficient ``c_k`` counts the elements whose ``statistic`` (``"inv"``,
+    ``"fmaj"`` or ``"L"``) has value ``k``.
 
     ``inv`` and ``L`` both sum the closed-form i-inversion numbers, but
     ``L`` needs m >= 2; :func:`length_L_oracle` is the root count.

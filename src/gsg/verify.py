@@ -1,13 +1,17 @@
 """Whole-group property sweeps backing the ``gsg verify`` subcommand.
 
-The budget is checked once, before any other work.  Every per-element
-check, and both equidistribution histograms, share one pass over the group,
-each reading its own functions so that a fault fails one check alone.
+The presentation check lists the defining relations of G(m,1,n) on the
+generators s_1..s_{n-1}, t_1..t_n as (lhs, rhs) pairs, each commuting pair
+once, and passes when every pair is equal.  The budget is checked once,
+before any other work.  Every per-element check, and both equidistribution
+histograms, share one pass over the group, each reading its own functions
+so that a fault fails one check alone.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations
 
 from .group_core import (
     DEFAULT_BUDGET,
@@ -39,27 +43,17 @@ def _check_presentation(m: int, n: int) -> bool:
     e = identity(m, n)
     s = {i: gen_s(m, n, i) for i in range(1, n)}
     t = {i: gen_t(m, n, i) for i in range(1, n + 1)}
-    for i in range(1, n):
-        if power(s[i], 2) != e:
-            return False
-        if i + 1 < n and power(multiply(s[i], s[i + 1]), 3) != e:
-            return False
-        for j in range(i + 2, n):
-            if power(multiply(s[i], s[j]), 2) != e:
-                return False
-    for i in range(1, n + 1):
-        if power(t[i], m) != e:
-            return False
-        for j in range(1, n + 1):
-            if multiply(t[i], t[j]) != multiply(t[j], t[i]):
-                return False
-    for i in range(1, n):
-        if multiply(multiply(s[i], t[i]), s[i]) != t[i + 1]:
-            return False
-        for j in range(1, n + 1):
-            if j not in (i, i + 1) and multiply(s[i], t[j]) != multiply(t[j], s[i]):
-                return False
-    return True
+    both_orders = lambda a, b: (multiply(a, b), multiply(b, a))
+    relations = [
+        *((power(s[i], 2), e) for i in s),
+        *((power(multiply(s[i], s[i + 1]), 3), e) for i in range(1, n - 1)),
+        *((power(multiply(s[i], s[j]), 2), e) for i in s for j in range(i + 2, n)),
+        *((power(t[i], m), e) for i in t),
+        *(both_orders(t[i], t[j]) for i, j in combinations(t, 2)),
+        *((multiply(multiply(s[i], t[i]), s[i]), t[i + 1]) for i in s),
+        *(both_orders(s[i], t[j]) for i in s for j in t if j not in (i, i + 1)),
+    ]
+    return all(lhs == rhs for lhs, rhs in relations)
 
 
 def run_property_checks(

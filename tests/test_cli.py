@@ -13,7 +13,7 @@ import gsg.statistics
 import gsg.verify
 from gsg.cli import main
 from gsg.errors import BudgetExceeded
-from gsg.group_core import GroupElement, parse_window
+from gsg.group_core import GroupElement, gen_s, gen_t, multiply, parse_window
 from gsg.mixed_radix import MixedRadixNumber, decode, encode
 from gsg.statistics import InversionTable, _inversions, inversion_table, unrank
 from gsg.subexceedant import integer_of_element
@@ -219,8 +219,8 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert "FAIL forced" in out
 
 
-def assert_only_check_fails(name):
-    results = dict(run_property_checks(3, 3))
+def assert_only_check_fails(name, m=3, n=3):
+    results = dict(run_property_checks(m, n))
     assert results.pop(name) is False
     assert all(results.values()), results
 
@@ -273,6 +273,32 @@ def test_verify_rank_bijection_catches_one_wrong_rank(monkeypatch, wrong):
     real, target = gsg.verify.rank, parse_window("[2]3 [1]1 2", 3)
     monkeypatch.setattr(gsg.verify, "rank", lambda w: wrong if w == target else real(w))
     assert_only_check_fails("rank bijection")
+
+
+S = {i: gen_s(3, 4, i) for i in range(1, 4)}
+T = {i: gen_t(3, 4, i) for i in range(1, 5)}
+
+# one product from each family of defining relations of G(3,1,4);
+# n = 4 is the least n with an (s_i s_j)^2 relation
+PRESENTATION_PRODUCTS = {
+    "s_i^2": ("power", (S[2], 2)),
+    "(s_i s_i+1)^3": ("power", (multiply(S[1], S[2]), 3)),
+    "(s_i s_j)^2": ("power", (multiply(S[1], S[3]), 2)),
+    "t_i^m": ("power", (T[1], 3)),
+    "t_i t_j": ("multiply", (T[1], T[3])),
+    "s_i t_i s_i": ("multiply", (S[2], T[2])),
+    "s_i t_j": ("multiply", (S[1], T[3])),
+}
+
+
+@pytest.mark.parametrize(
+    "function,args", PRESENTATION_PRODUCTS.values(), ids=PRESENTATION_PRODUCTS.keys()
+)
+def test_verify_presentation_catches_one_wrong_product(monkeypatch, function, args):
+    real = getattr(gsg.verify, function)
+    # that one product comes out as its first factor
+    monkeypatch.setattr(gsg.verify, function, lambda *a: a[0] if a == args else real(*a))
+    assert_only_check_fails("presentation relations", 3, 4)
 
 
 def test_verify_enumerates_the_group_once(monkeypatch):
@@ -455,6 +481,33 @@ def with_int_limit(limit, fn, *args):
         return fn(*args)
     finally:
         sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["poincare", "--m", "2", "--n", "2"], 0),
+        (["rank", "--m", "3", "[01]2 1"], 2),
+        (["poincare", "--m", "0", "--n", "2"], 2),
+        (["unrank", "--m", "2", "--n", "2", "9"], 3),
+        (["poincare", "--m", "2", "--n", "80", "--budget", "10"], 4),
+        (["poincare", "--m", "x", "--n", "2"], None),  # argparse's SystemExit
+    ],
+    ids=["exit 0", "exit 2 window", "exit 2 option", "exit 3", "exit 4", "argparse exit"],
+)
+def test_main_puts_back_the_str_digit_limit(capsys, argv, code):
+    def limit_after_main():
+        if code is None:
+            with pytest.raises(SystemExit):
+                main(argv)
+        else:
+            assert main(argv) == code
+        return sys.get_int_max_str_digits()
+
+    assert with_int_limit(5000, limit_after_main) == 5000
 
 
 def run_at_default_limit(capsys, *argv):

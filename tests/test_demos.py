@@ -1,4 +1,4 @@
-"""Each demo script runs to completion and prints something."""
+"""Each demo script runs to completion and prints exactly its pinned output."""
 
 import os
 import subprocess
@@ -19,3 +19,11 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_prints_its_pinned_output(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (ROOT / "tests" / "data" / "demos" / f"{demo.stem}.txt").read_bytes()

@@ -280,3 +280,10 @@ def square_and_multiply_power(u, k):
 @given(elements(max_n=200), st.integers(-10**6, 10**6))
 def test_power_matches_square_and_multiply_property(w, k):
     assert power(w, k) == square_and_multiply_power(w, k)
+
+
+def test_parse_window_rejects_radix_zero_with_plain_value_error():
+    with pytest.raises(ValueError) as exc:
+        parse_window("1", 0)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "need m >= 1, got 0"

@@ -253,3 +253,22 @@ def test_radix_tree_cache_stays_bounded():
     assert info.maxsize == _TREE_NODES
     assert info.misses > _TREE_NODES  # the bound was reached
     assert info.currsize <= info.maxsize
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: encode(-1, 2), "cannot encode negative integer -1"),
+        (lambda: encode(5, 0), "radix seed must be >= 1, got 0"),
+        (lambda: encode_width(5, 2, 0), "width must be >= 1, got 0"),
+        (lambda: encode_width(-1, 2, 3), "cannot encode negative integer -1"),
+        (lambda: encode_width(5, 0, 3), "radix seed must be >= 1, got 0"),
+        (lambda: weights(0, 3), "m and count must be positive"),
+        (lambda: weights(2, 0), "m and count must be positive"),
+    ],
+)
+def test_bad_codec_arguments_raise_plain_value_error(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == message

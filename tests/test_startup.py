@@ -52,3 +52,12 @@ def test_json_commands_print_the_same_bytes():
         b'{"rank": 7, "window": "1 [1]2", "inv_table": "3:0"}, '
         b'{"rank": 8, "window": "[1]1 [1]2", "inv_table": "3:1"}]\n'
     )
+
+
+def test_import_loads_no_typing_without_site():
+    # -S: a site hook may load typing before gsg does
+    probe = "import sys, gsg.cli; print('typing' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=ENV, capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr

@@ -644,3 +644,47 @@ def test_text_forms_match_the_generator_joins_property(w):
     assert w.window() == " ".join(
         f"[{c}]{v}" if c else str(v) for v, c in zip(w.beta, w.colors)
     )
+
+
+@pytest.mark.parametrize("m,n", [(0, 3), (2, 0)])
+def test_poincare_rejects_an_empty_group_with_plain_value_error(m, n):
+    with pytest.raises(ValueError) as exc:
+        poincare(m, n)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "need m >= 1 and n >= 1"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+def test_budget_message_below_the_default_str_digit_limit():
+    # 10**1000 has fewer than 4300 digits but more than the 640 allowed here
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(BudgetExceeded) as exc:
+            poincare(10**1000, 1, budget=1)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(exc.value) == (
+        "<3322-bit number> coefficient updates for G(<3322-bit number>,1,1) exceed budget 1"
+    )
+
+
+WHOLE_GROUP_CALLS = {
+    "enumerate_group": lambda m, n: enumerate_group(m, n),
+    "histogram inv": lambda m, n: histogram("inv", m, n),
+    "histogram fmaj": lambda m, n: histogram("fmaj", m, n),
+    "histogram L": lambda m, n: histogram("L", m, n),
+    "run_property_checks": lambda m, n: run_property_checks(m, n),
+}
+
+
+@pytest.mark.parametrize("call", WHOLE_GROUP_CALLS.values(), ids=WHOLE_GROUP_CALLS.keys())
+@pytest.mark.parametrize("m,n", [(0, 3), (2, 0), (-1, 2)])
+def test_whole_group_calls_reject_an_empty_group(call, m, n):
+    # at call time: enumerate_group's generator is never advanced
+    with pytest.raises(ValueError) as exc:
+        call(m, n)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "need m >= 1 and n >= 1"
