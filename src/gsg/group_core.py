@@ -29,7 +29,7 @@ from .errors import (
     IndexOutOfRange,
     WindowParseError,
 )
-from .mixed_radix import Value, _new, slot_setters
+from .mixed_radix import Value, _digit_count, _new, slot_setters
 
 __all__ = [
     "GroupElement",
@@ -164,20 +164,25 @@ def multiply(u: GroupElement, v: GroupElement) -> GroupElement:
         raise DimensionMismatch(
             f"cannot multiply ({m},{n}) element by ({v.m},{v.n}) element"
         )
-    ubeta, ucolors, vbeta = u.beta, u.colors, v.beta
-    beta = tuple([ubeta[g - 1] for g in vbeta])
-    colors = tuple([(vc + ucolors[g - 1]) % m for g, vc in zip(vbeta, v.colors)])
-    return GroupElement._unchecked(m, n, beta, colors)
+    ubeta, ucolors = u.beta, u.colors
+    beta, colors = [], []
+    for g, vc in zip(v.beta, v.colors):
+        beta.append(ubeta[g - 1])
+        colors.append((vc + ucolors[g - 1]) % m)
+    return GroupElement._unchecked(m, n, tuple(beta), tuple(colors))
 
 
 def inverse(u: GroupElement) -> GroupElement:
     """The two-sided inverse: permutation inverts, colors negate along it."""
-    m, n, ucolors = u.m, u.n, u.colors
+    m, n = u.m, u.n
     beta_inv = [0] * n
-    for k, image in enumerate(u.beta, start=1):
+    colors = [0] * n
+    k = 0
+    for image, c in zip(u.beta, u.colors):
+        k += 1
         beta_inv[image - 1] = k
-    colors = tuple([-ucolors[k - 1] % m for k in beta_inv])
-    return GroupElement._unchecked(m, n, tuple(beta_inv), colors)
+        colors[image - 1] = -c % m
+    return GroupElement._unchecked(m, n, tuple(beta_inv), tuple(colors))
 
 
 def power(u: GroupElement, k: int) -> GroupElement:
@@ -303,26 +308,34 @@ def parse_window(text: str, m: int) -> GroupElement:
     if not text:
         raise WindowParseError("empty window")
     entries = text.split(" ")
+    n = len(entries)
+    value_width, color_width = _digit_count(n), _digit_count(m - 1)
     beta = []
     colors = []
     for pos, entry in enumerate(entries, start=1):
         match = _ENTRY_RE.fullmatch(entry)
         if match is None:
             raise WindowParseError(f"entry {pos} ({entry!r}) is malformed")
+        color_text, value_text = match.groups()
         if any(g[0] == "0" and len(g) > 1 for g in match.groups() if g):
             raise WindowParseError(f"entry {pos} ({entry!r}) has a leading zero")
-        color = int(match.group(1)) if match.group(1) is not None else 0
-        value = int(match.group(2))
-        if match.group(1) is not None:
+        color = 0
+        if color_text is not None:
             if m == 1:
                 raise WindowParseError(f"entry {pos} ({entry!r}): m = 1 takes no color prefix")
+            if len(color_text) > color_width:
+                raise WindowParseError(
+                    f"entry {pos}: color of {len(color_text)} digits outside 1..{_decimal(m - 1)}"
+                )
+            color = int(color_text)
             if not 1 <= color <= m - 1:
                 raise WindowParseError(
                     f"entry {pos} ({entry!r}): color {color} outside 1..{m - 1}"
                 )
-        beta.append(value)
+        if len(value_text) > value_width:
+            raise WindowParseError(f"entry {pos}: value of {len(value_text)} digits outside 1..{n}")
+        beta.append(int(value_text))
         colors.append(color)
-    n = len(entries)
     for pos, value in enumerate(beta, start=1):
         if not 1 <= value <= n:
             raise WindowParseError(f"entry {pos}: value {value} outside 1..{n}")

@@ -88,6 +88,17 @@ def slot_setters(cls: type) -> list:
 _new = object.__new__
 
 
+def _digit_count(x: int) -> int:
+    """The decimal digits of ``x >= 0``, without ``str(x)``, which the
+    int-to-str limit refuses past 4300 digits.  Parsers refuse a digit string
+    longer than its bound's before ``int``, which the limit refuses too."""
+    # x >= 2**(bit_length - 1), and 0.30102999 < log10(2): d starts at most at the count
+    d = max(1, (x.bit_length() - 1) * 30102999 // 10**8 + 1)
+    while x >= 10**d:
+        d += 1
+    return d
+
+
 class MixedRadixNumber(Value):
     """A digit vector in the mixed-radix system with seed ``m``.
 
@@ -128,10 +139,16 @@ class MixedRadixNumber(Value):
     def from_text(cls, text: str, m: int) -> "MixedRadixNumber":
         """Parse the colon-separated, most-significant-first text form."""
         parts = text.split(":")
+        width = _digit_count(m * len(parts) - 1)  # of the largest bound
         digits = []
-        for part in parts:
+        for i, part in zip(range(len(parts) - 1, -1, -1), parts):
             if not (part.isascii() and part.isdigit()):
                 raise DigitBoundError(f"digit {part!r} is not a decimal number")
+            if m >= 1 and len(part.lstrip("0")) > width:
+                raise DigitBoundError(
+                    f"digit of {len(part)} digits at position {i} exceeds bound"
+                    f" {m * (i + 1) - 1} (m={m})"
+                )
             digits.append(int(part))
         return cls(m, tuple(reversed(digits)))
 

@@ -166,10 +166,10 @@ def _negatives(w: GroupElement, roots: list[tuple[int, int, int, int]]) -> int:
     m, beta, colors = w.m, w.beta, w.colors
     count = 0
     for a, j, b, l in roots:
-        vj, vl = beta[j - 1], beta[l - 1]
-        if vj == vl:
+        # beta is a permutation: the two images are equal exactly when j == l
+        if j == l:
             count += (a + colors[j - 1]) % m > (b + colors[l - 1]) % m
-        elif vj > vl:
+        elif beta[j - 1] > beta[l - 1]:
             count += (a + colors[j - 1]) % m != 0
         else:
             count += (b + colors[l - 1]) % m == 0
@@ -194,12 +194,10 @@ def inv_closed(w: GroupElement, i: int) -> int:
     """
     if not 1 <= i <= w.n:
         raise IndexOutOfRange(f"inversion index {i} outside 1..{w.n}")
-    p = w.n + 1 - i
-    r_p = w.colors[p - 1]
-    b_p = w.beta[p - 1]
-    smaller = sum(1 for j in range(p - 1) if w.beta[j] < b_p)
-    larger = (p - 1) - smaller
-    return r_p + (w.m * smaller if r_p != 0 else 0) + larger
+    p = w.n - i  # the p above, 0-based
+    b_p, r_p = w.beta[p], w.colors[p]
+    smaller = len([b for b in w.beta[:p] if b < b_p])
+    return r_p + (w.m * smaller if r_p else 0) + (p - smaller)
 
 
 def _inversions(w: GroupElement) -> list[int]:
@@ -212,10 +210,12 @@ def _inversions(w: GroupElement) -> list[int]:
     m = w.m
     earlier: list[int] = []
     out = []
-    for p, (b, c) in enumerate(zip(w.beta, w.colors)):
+    p = 0
+    for b, c in zip(w.beta, w.colors):
         s = bisect_left(earlier, b)
         earlier.insert(s, b)
         out.append(c + (m * s if c else 0) + (p - s))
+        p += 1
     return out
 
 
@@ -275,9 +275,9 @@ def unrank(r: int, m: int, n: int) -> GroupElement:
     colors = [0] * n
     for p in range(n - 1, -1, -1):
         d = digits[p]
-        k = len(remaining)
+        k = p + 1  # the values still remaining
         if d < k:
-            beta[p] = remaining.pop(k - 1 - d)
+            beta[p] = remaining.pop(p - d)
         else:
             idx, c = divmod(d - k, m - 1)
             beta[p] = remaining.pop(idx)

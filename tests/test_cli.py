@@ -536,6 +536,17 @@ def test_convert_to_digits_past_str_digit_limit(capsys):
     assert decode(MixedRadixNumber.from_text(out.strip(), 7)) == x
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["rank", "--m", "2", "1 " + "1" * 5000], ["convert", "--m", "2", "--to-int", "1" * 5000 + ":0"]],
+    ids=["window value", "digit"],
+)
+def test_over_long_entry_exits_2_without_echoing_its_digits(capsys, argv):
+    code, out, err = run_at_default_limit(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "5000 digits" in err and len(err) < 100
+
+
 def test_text_encode_past_str_digit_limit(capsys):
     text = (PANGRAM + " ") * 50
     assert len(text) == 2200

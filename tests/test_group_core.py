@@ -232,6 +232,29 @@ def test_window_parse_rejects_leading_zeros(text, pos):
         parse_window(text, 3)
 
 
+@pytest.mark.parametrize(
+    "limit", sorted({0, getattr(sys.int_info, "default_max_str_digits", 0)})
+)
+def test_window_parse_names_an_over_long_entry_by_digit_count(limit):
+    # int() of 5000 digits raises ValueError at CPython's default limit
+    digits = "1" * 5000
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    old = sys.get_int_max_str_digits() if set_limit else None
+    if set_limit:
+        set_limit(limit)
+    try:
+        for text, m, message in (
+            (f"1 {digits}", 2, "entry 2: value of 5000 digits outside 1..2"),
+            (f"[{digits}]1 2", 3, "entry 1: color of 5000 digits outside 1..2"),
+        ):
+            with pytest.raises(WindowParseError) as exc:
+                parse_window(text, m)
+            assert str(exc.value) == message
+    finally:
+        if set_limit:
+            set_limit(old)
+
+
 def test_element_validation():
     with pytest.raises(ValueError):
         GroupElement(3, 3, (1, 1, 2), (0, 0, 0))
@@ -256,6 +279,28 @@ def test_inverse_and_window_roundtrip_property(w):
     assert multiply(inverse(w), w) == e
     assert multiply(w, inverse(w)) == e
     assert parse_window(w.window(), w.m) == w
+
+
+@given(elements(max_n=300), st.data())
+def test_multiply_and_inverse_compose_pointwise_property(u, data):
+    m, n = u.m, u.n
+    v = GroupElement(
+        m,
+        n,
+        tuple(data.draw(st.permutations(range(1, n + 1)))),
+        tuple(data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))),
+    )
+    # k -> u(v(k)) on colored values, position by position
+    pointwise = GroupElement(
+        m,
+        n,
+        tuple(u.beta[v.beta[k] - 1] for k in range(n)),
+        tuple((v.colors[k] + u.colors[v.beta[k] - 1]) % m for k in range(n)),
+    )
+    assert multiply(u, v) == pointwise
+    e = identity(m, n)
+    assert multiply(inverse(u), u) == e
+    assert multiply(u, inverse(u)) == e
 
 
 @given(elements(), st.integers(0, 8), st.integers(0, 8))

@@ -1,5 +1,6 @@
 """Codec tests: division-chain encoding, weighted decoding, digit bounds."""
 
+import sys
 from math import factorial
 
 import pytest
@@ -159,6 +160,24 @@ def test_text_parsing():
         MixedRadixNumber.from_text("3:x:1", 7)
     with pytest.raises(DigitBoundError):
         MixedRadixNumber.from_text("-1:2", 7)
+
+
+@pytest.mark.parametrize(
+    "limit", sorted({0, getattr(sys.int_info, "default_max_str_digits", 0)})
+)
+def test_text_parsing_names_an_over_long_digit_by_digit_count(limit):
+    # int() of 5000 digits raises ValueError at CPython's default limit
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    old = sys.get_int_max_str_digits() if set_limit else None
+    if set_limit:
+        set_limit(limit)
+    try:
+        with pytest.raises(DigitBoundError) as exc:
+            MixedRadixNumber.from_text("1" * 5000 + ":0", 2)
+        assert str(exc.value) == "digit of 5000 digits at position 1 exceeds bound 3 (m=2)"
+    finally:
+        if set_limit:
+            set_limit(old)
 
 
 @given(x=st.integers(min_value=0, max_value=10**60), m=st.integers(1, 9))
