@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Iterator
 from math import factorial
 
@@ -29,7 +29,7 @@ from .errors import (
     IndexOutOfRange,
     WindowParseError,
 )
-from .mixed_radix import Value, _digit_count, _new, slot_setters
+from .mixed_radix import Value, _digit_count, _new, _quote, slot_setters
 
 __all__ = [
     "GroupElement",
@@ -315,14 +315,16 @@ def parse_window(text: str, m: int) -> GroupElement:
     for pos, entry in enumerate(entries, start=1):
         match = _ENTRY_RE.fullmatch(entry)
         if match is None:
-            raise WindowParseError(f"entry {pos} ({entry!r}) is malformed")
+            raise WindowParseError(f"entry {pos} ({_quote(entry)}) is malformed")
         color_text, value_text = match.groups()
         if any(g[0] == "0" and len(g) > 1 for g in match.groups() if g):
-            raise WindowParseError(f"entry {pos} ({entry!r}) has a leading zero")
+            raise WindowParseError(f"entry {pos} ({_quote(entry)}) has a leading zero")
         color = 0
         if color_text is not None:
             if m == 1:
-                raise WindowParseError(f"entry {pos} ({entry!r}): m = 1 takes no color prefix")
+                raise WindowParseError(
+                    f"entry {pos} ({_quote(entry)}): m = 1 takes no color prefix"
+                )
             if len(color_text) > color_width:
                 raise WindowParseError(
                     f"entry {pos}: color of {len(color_text)} digits outside 1..{_decimal(m - 1)}"
@@ -330,7 +332,7 @@ def parse_window(text: str, m: int) -> GroupElement:
             color = int(color_text)
             if not 1 <= color <= m - 1:
                 raise WindowParseError(
-                    f"entry {pos} ({entry!r}): color {color} outside 1..{m - 1}"
+                    f"entry {pos} ({_quote(entry)}): color {color} outside 1..{m - 1}"
                 )
         if len(value_text) > value_width:
             raise WindowParseError(f"entry {pos}: value of {len(value_text)} digits outside 1..{n}")
@@ -340,6 +342,7 @@ def parse_window(text: str, m: int) -> GroupElement:
         if not 1 <= value <= n:
             raise WindowParseError(f"entry {pos}: value {value} outside 1..{n}")
     if len(set(beta)) != n:
-        dup = next(v for v in beta if beta.count(v) > 1)
+        counts = Counter(beta)
+        dup = next(v for v in beta if counts[v] > 1)
         raise WindowParseError(f"value {dup} appears more than once")
     return GroupElement._unchecked(m, n, tuple(beta), tuple(colors))

@@ -99,6 +99,17 @@ def _digit_count(x: int) -> int:
     return d
 
 
+_QUOTED = 32  # characters of a bad input that an error message repeats
+
+
+def _quote(text: str) -> str:
+    """``repr(text)``, or of its first ``_QUOTED`` characters and its length
+    when longer, so that a message about an over-long input stays short."""
+    if len(text) <= _QUOTED:
+        return repr(text)
+    return f"{text[:_QUOTED]!r}... ({len(text)} characters)"
+
+
 class MixedRadixNumber(Value):
     """A digit vector in the mixed-radix system with seed ``m``.
 
@@ -143,7 +154,7 @@ class MixedRadixNumber(Value):
         digits = []
         for i, part in zip(range(len(parts) - 1, -1, -1), parts):
             if not (part.isascii() and part.isdigit()):
-                raise DigitBoundError(f"digit {part!r} is not a decimal number")
+                raise DigitBoundError(f"digit {_quote(part)} is not a decimal number")
             if m >= 1 and len(part.lstrip("0")) > width:
                 raise DigitBoundError(
                     f"digit of {len(part)} digits at position {i} exceeds bound"

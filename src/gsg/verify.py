@@ -3,15 +3,19 @@
 The presentation check lists the defining relations of G(m,1,n) on the
 generators s_1..s_{n-1}, t_1..t_n as (lhs, rhs) pairs, each commuting pair
 once, and passes when every pair is equal.  The budget is checked once,
-before any other work.  Every per-element check, and both equidistribution
-histograms, share one pass over the group, each reading its own functions
-so that a fault fails one check alone.
+before any other work.  The per-element checks and both equidistribution
+histograms share one pass over the group, taken in chunks of ``_CHUNK``
+elements: each check maps its own functions over the whole chunk before the
+next check starts, so a fault fails one check alone, and a failed check
+skips the chunks after it.  Memory is bounded by one chunk of elements and
+the lists built from it, plus one byte per rank.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, islice, repeat
+from operator import attrgetter, eq
 
 from .group_core import (
     DEFAULT_BUDGET,
@@ -37,6 +41,8 @@ from .statistics import (
 )
 
 __all__ = ["run_property_checks"]
+
+_CHUNK = 256  # elements per column-wise pass of run_property_checks
 
 
 def _check_presentation(m: int, n: int) -> bool:
@@ -74,26 +80,35 @@ def run_property_checks(
         blocks = [_block_roots(m, n, i) for i in range(1, n + 1)]
     hit = bytearray(order + 1)  # hit[r]: rank r already taken
     inv_counts, fmaj_counts = Counter(), Counter()
-    for w in elements:
+    while chunk := list(islice(elements, _CHUNK)):
         if inverse_ok:
-            v = inverse(w)
-            if multiply(v, w) != e or multiply(w, v) != e:
-                inverse_ok = False
+            inverses = list(map(inverse, chunk))
+            inverse_ok = all(map(eq, map(multiply, inverses, chunk), repeat(e))) and all(
+                map(eq, map(multiply, chunk, inverses), repeat(e))
+            )
         if rank_ok:
-            r = rank(w)
-            if not 1 <= r <= order or hit[r] or unrank(r, m, n) != w:
-                rank_ok = False
-            else:
-                hit[r] = 1
+            ranks = list(map(rank, chunk))
+            rank_ok = (
+                1 <= min(ranks)
+                and max(ranks) <= order
+                and not any(map(hit.__getitem__, ranks))
+                and list(map(unrank, ranks, repeat(m), repeat(n))) == chunk
+            )
+            if rank_ok:
+                for r in ranks:
+                    hit[r] = 1
         if oracle_ok or additive_ok:
-            counts = [_negatives(w, block) for block in blocks]
-            if oracle_ok and counts != [inv_closed(w, i) for i in range(1, n + 1)]:
-                oracle_ok = False
-            if additive_ok and sum(inversion_table(w).entries) != sum(counts):
-                additive_ok = False
-        inv_counts[sum(_inversions(w))] += 1
-        fmaj_counts[fmaj(w)] += 1
-    # distinct ranks in 1..order, one per element, cover 1..order
+            counts = [list(map(_negatives, chunk, repeat(block))) for block in blocks]
+            oracle_ok = oracle_ok and all(
+                column == list(map(inv_closed, chunk, repeat(i)))
+                for i, column in enumerate(counts, start=1)
+            )
+            additive_ok = additive_ok and list(
+                map(sum, map(attrgetter("entries"), map(inversion_table, chunk)))
+            ) == list(map(sum, zip(*counts)))
+        inv_counts.update(map(sum, map(_inversions, chunk)))
+        fmaj_counts.update(map(fmaj, chunk))
+    # ranks in 1..order, one per element, cover 1..order only if all distinct
     rank_ok = rank_ok and hit.count(1) == order
     expected = {k: c for k, c in enumerate(poincare(m, n).coeffs) if c}
     equidistributed = inv_counts == expected and fmaj_counts == expected

@@ -13,7 +13,15 @@ import gsg.statistics
 import gsg.verify
 from gsg.cli import main
 from gsg.errors import BudgetExceeded
-from gsg.group_core import GroupElement, gen_s, gen_t, multiply, parse_window
+from gsg.group_core import (
+    GroupElement,
+    enumerate_group,
+    gen_s,
+    gen_t,
+    group_order,
+    multiply,
+    parse_window,
+)
 from gsg.mixed_radix import MixedRadixNumber, decode, encode
 from gsg.statistics import InversionTable, _inversions, inversion_table, unrank
 from gsg.subexceedant import integer_of_element
@@ -219,10 +227,17 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert "FAIL forced" in out
 
 
+# one element per chunk, a size that divides no group order swept here, and the default
+CHUNK_SIZES = (1, 7, gsg.verify._CHUNK)
+
+
 def assert_only_check_fails(name, m=3, n=3):
-    results = dict(run_property_checks(m, n))
-    assert results.pop(name) is False
-    assert all(results.values()), results
+    for size in CHUNK_SIZES:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gsg.verify, "_CHUNK", size)
+            results = dict(run_property_checks(m, n))
+        assert results.pop(name) is False, size
+        assert all(results.values()), (size, results)
 
 
 def test_verify_oracle_agreement_catches_one_wrong_inversion_number(monkeypatch):
@@ -273,6 +288,27 @@ def test_verify_rank_bijection_catches_one_wrong_rank(monkeypatch, wrong):
     real, target = gsg.verify.rank, parse_window("[2]3 [1]1 2", 3)
     monkeypatch.setattr(gsg.verify, "rank", lambda w: wrong if w == target else real(w))
     assert_only_check_fails("rank bijection")
+
+
+def test_verify_catches_one_fault_in_the_last_chunk(monkeypatch):
+    real, target = gsg.verify.inv_closed, parse_window("[1]4 [2]3 2 [1]1", 3)
+    elements = list(enumerate_group(3, 4))
+    last_chunk = (len(elements) - 1) // gsg.verify._CHUNK * gsg.verify._CHUNK
+    assert elements.index(target) >= last_chunk > 0
+    monkeypatch.setattr(
+        gsg.verify, "inv_closed", lambda w, i: real(w, i) + (w == target and i == 2)
+    )
+    assert_only_check_fails("oracle agreement", 3, 4)
+
+
+@pytest.mark.parametrize("m,n", [(1, 4), (2, 3), (3, 3), (2, 4)])
+def test_verify_results_do_not_depend_on_the_chunk_size(monkeypatch, m, n):
+    expected = run_property_checks(m, n)
+    assert all(ok for _, ok in expected)
+    order = group_order(m, n)
+    for size in (1, 2, 7, order - 1, order, order + 1):
+        monkeypatch.setattr(gsg.verify, "_CHUNK", size)
+        assert run_property_checks(m, n) == expected, size
 
 
 S = {i: gen_s(3, 4, i) for i in range(1, 4)}
@@ -545,6 +581,27 @@ def test_over_long_entry_exits_2_without_echoing_its_digits(capsys, argv):
     code, out, err = run_at_default_limit(capsys, *argv)
     assert (code, out) == (2, "")
     assert "5000 digits" in err and len(err) < 100
+
+
+ONES = "1" * 5000
+
+
+# each parse error that quotes its entry or digit, on an entry 5000 characters long
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("rank", "--m", "2", "1 x" + ONES), "is malformed"),
+        (("rank", "--m", "2", "1 0" + ONES), "has a leading zero"),
+        (("rank", "--m", "1", f"[1]{ONES} 1"), "m = 1 takes no color prefix"),
+        (("rank", "--m", "3", f"[5]{ONES} 1"), "color 5 outside 1..2"),
+        (("convert", "--m", "2", "--to-int", "1:x" + ONES), "is not a decimal number"),
+    ],
+    ids=["malformed", "leading zero", "m = 1 prefix", "color range", "digit"],
+)
+def test_bad_over_long_entry_exits_2_with_a_short_message(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err and "characters)" in err and len(err.encode()) < 200
 
 
 def test_text_encode_past_str_digit_limit(capsys):

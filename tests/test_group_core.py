@@ -2,6 +2,7 @@
 
 import itertools
 import sys
+import time
 
 import pytest
 from hypothesis import given
@@ -222,6 +223,19 @@ def test_window_parse_errors_name_the_entry():
         parse_window("1 1 3", 3)
     with pytest.raises(WindowParseError):
         parse_window("", 3)
+
+
+def test_window_parse_names_the_first_repeated_value_in_linear_time():
+    with pytest.raises(WindowParseError) as exc:
+        parse_window("3 1 1 3", 3)
+    assert str(exc.value) == "value 3 appears more than once"
+    # the repeat comes last, so a count per entry would take seconds here
+    text = " ".join(map(str, range(1, 20000))) + " 19999"
+    start = time.perf_counter()
+    with pytest.raises(WindowParseError) as exc:
+        parse_window(text, 2)
+    assert time.perf_counter() - start < 1.0
+    assert str(exc.value) == "value 19999 appears more than once"
 
 
 @pytest.mark.parametrize(
