@@ -22,6 +22,7 @@ import re
 from collections import Counter, deque
 from collections.abc import Iterator
 from math import factorial
+from operator import index
 
 from .errors import (
     BudgetExceeded,
@@ -65,7 +66,8 @@ class GroupElement(Value):
     def __init__(
         self, m: int, n: int, beta: tuple[int, ...], colors: tuple[int, ...]
     ):
-        beta, colors = tuple(beta), tuple(colors)
+        m, n = index(m), index(n)
+        beta, colors = tuple(map(index, beta)), tuple(map(index, colors))
         if m < 1 or n < 1:
             raise ValueError(f"need m >= 1 and n >= 1, got ({m}, {n})")
         if sorted(beta) != list(range(1, n + 1)):

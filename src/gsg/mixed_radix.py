@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import lgamma, log, prod
+from operator import index
 
 from .errors import DigitBoundError
 
@@ -47,7 +48,9 @@ class Value:
     An instance equals another of the same class with equal fields, hashes
     by its fields and refuses assignment and deletion.  Constructors store
     the fields through the slots' member descriptors (:func:`slot_setters`),
-    which this ``__setattr__`` does not reach.  Each class's ``_unchecked``
+    which this ``__setattr__`` does not reach.  The checked constructors take
+    their integer fields through ``operator.index``: a float raises
+    ``TypeError``, a bool becomes an int.  Each class's ``_unchecked``
     builds an instance the same way without the constructor checks: only
     for values the library built from checked values, which pass the checks
     by construction; sequences must already be tuples.
@@ -120,9 +123,10 @@ class MixedRadixNumber(Value):
     __slots__ = ("m", "digits")
 
     def __init__(self, m: int, digits: tuple[int, ...]):
+        m = index(m)
         if m < 1:
             raise DigitBoundError(f"radix seed must be >= 1, got {m}")
-        digits = tuple(digits)
+        digits = tuple(map(index, digits))
         if len(digits) < 1:
             raise DigitBoundError("a number has at least one digit")
         for i, d in enumerate(digits):

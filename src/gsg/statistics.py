@@ -1,17 +1,18 @@
 """Root-system statistics, inversion tables, rank/unrank and q-polynomials.
 
 The root system lives on colored basis vectors: a root is the formal
-difference of two distinct colored vectors.  The root-theoretic length of
-an element is the number of simple-side roots it sends negative; split by
+difference of two distinct colored vectors ``(a, j)`` and ``(b, l)``, held
+as the plain int tuple ``(a, j, b, l)``.  The root-theoretic length of an
+element is the number of simple-side roots it sends negative; split by
 anchor coordinate this gives the i-inversion numbers, whose vector is a
 valid mixed-radix digit string.  The library computes those numbers in
 closed form, in one pass over the window, and the length as their sum;
 counting roots is kept as the oracle (:func:`length_L_oracle`,
-:func:`inv_oracle`).  The oracles classify roots as plain ``(a, j, b, l)``
-int tuples; ``gsg verify`` builds each group's root lists once and counts
-every element against them.  Decoding the digit string (plus one) ranks the
-group, and reading it as flag-generator exponents transports the length
-statistic onto the flag-major index.
+:func:`inv_oracle`).  :func:`act` and :func:`is_negative` define the count
+one root at a time; the oracles and ``gsg verify`` count a whole list of
+roots at once.  Decoding the digit string (plus one) ranks the group, and
+reading it as flag-generator exponents transports the length statistic onto
+the flag-major index.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .group_core import DEFAULT_BUDGET, GroupElement, _decimal, enumerate_group
 from .mixed_radix import Value, _decode, _encode, _radix_product, slot_setters
 
 __all__ = [
-    "Root",
     "InversionTable",
     "QPolynomial",
     "all_roots",
@@ -49,45 +49,28 @@ __all__ = [
 ]
 
 
-class Root(Value):
-    """The formal difference of colored basis vectors ``(a,j)`` and ``(b,l)``."""
-
-    __slots__ = ("a", "j", "b", "l")
-
-    def __init__(self, a: int, j: int, b: int, l: int):
-        if (a, j) == (b, l):
-            raise ValueError("the two colored vectors of a root must differ")
-        _set_a(self, a)
-        _set_j(self, j)
-        _set_b(self, b)
-        _set_l(self, l)
-
-    def negated(self) -> "Root":
-        return Root(self.b, self.l, self.a, self.j)
-
-
-_set_a, _set_j, _set_b, _set_l = slot_setters(Root)
-
-
 def _require_radix(m: int):
     if m < 2:
         raise UnsupportedRadix(f"root system machinery needs m >= 2, got m={m}")
 
 
-def all_roots(m: int, n: int) -> set[Root]:
+def all_roots(m: int, n: int) -> list[tuple[int, int, int, int]]:
     """Every formal difference of two distinct colored basis vectors."""
     _require_radix(m)
     vectors = [(a, j) for j in range(1, n + 1) for a in range(m)]
-    return {
-        Root(a, j, b, l)
+    return [
+        (a, j, b, l)
         for (a, j) in vectors
         for (b, l) in vectors
         if (a, j) != (b, l)
-    }
+    ]
 
 
-def _delta_roots(m: int, n: int) -> list[tuple[int, int, int, int]]:
-    """The simple-side set as ``(a, j, b, l)`` tuples; see :func:`delta`."""
+def delta(m: int, n: int) -> list[tuple[int, int, int, int]]:
+    """The simple-side set: ``e_j`` minus any colored ``e_l`` with ``l <= j``.
+
+    The degenerate color-0 same-index term is excluded (it is not a root).
+    """
     _require_radix(m)
     return [
         (0, j, k, l)
@@ -98,8 +81,8 @@ def _delta_roots(m: int, n: int) -> list[tuple[int, int, int, int]]:
     ]
 
 
-def _block_roots(m: int, n: int, i: int) -> list[tuple[int, int, int, int]]:
-    """The i-th block as ``(a, j, b, l)`` tuples; see :func:`delta_block`."""
+def delta_block(m: int, n: int, i: int) -> list[tuple[int, int, int, int]]:
+    """The block of the simple-side set anchored at coordinate ``n+1-i``."""
     _require_radix(m)
     if not 1 <= i <= n:
         raise IndexOutOfRange(f"block index {i} outside 1..{n}")
@@ -109,20 +92,7 @@ def _block_roots(m: int, n: int, i: int) -> list[tuple[int, int, int, int]]:
     ]
 
 
-def delta(m: int, n: int) -> set[Root]:
-    """The simple-side set: ``e_j`` minus any colored ``e_l`` with ``l <= j``.
-
-    The degenerate color-0 same-index term is excluded (it is not a root).
-    """
-    return {Root(*r) for r in _delta_roots(m, n)}
-
-
-def delta_block(m: int, n: int, i: int) -> set[Root]:
-    """The block of the simple-side set anchored at coordinate ``n+1-i``."""
-    return {Root(*r) for r in _block_roots(m, n, i)}
-
-
-def is_negative(r: Root) -> bool:
+def is_negative(r: tuple[int, int, int, int]) -> bool:
     """O(1) classifier for membership in the negative half.
 
     Same index: negative iff the leading exponent is larger.  Leading index
@@ -130,21 +100,23 @@ def is_negative(r: Root) -> bool:
     strictly smaller: negative iff the trailing exponent is zero.  Exactly
     one of a root and its negation is negative.
     """
-    if r.j == r.l:
-        return r.a > r.b
-    if r.j > r.l:
-        return r.a != 0
-    return r.b == 0
+    a, j, b, l = r
+    if j == l:
+        return a > b
+    if j > l:
+        return a != 0
+    return b == 0
 
 
-def act(w: GroupElement, r: Root) -> Root:
+def act(w: GroupElement, r: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
     """Image of a root: each colored vector ``(a, j)`` maps to
     ``(a + color_j mod m, beta_j)``."""
-    return Root(
-        (r.a + w.colors[r.j - 1]) % w.m,
-        w.beta[r.j - 1],
-        (r.b + w.colors[r.l - 1]) % w.m,
-        w.beta[r.l - 1],
+    a, j, b, l = r
+    return (
+        (a + w.colors[j - 1]) % w.m,
+        w.beta[j - 1],
+        (b + w.colors[l - 1]) % w.m,
+        w.beta[l - 1],
     )
 
 
@@ -178,12 +150,12 @@ def _negatives(w: GroupElement, roots: list[tuple[int, int, int, int]]) -> int:
 
 def length_L_oracle(w: GroupElement) -> int:
     """Number of simple-side roots sent negative, by direct counting."""
-    return _negatives(w, _delta_roots(w.m, w.n))
+    return _negatives(w, delta(w.m, w.n))
 
 
 def inv_oracle(w: GroupElement, i: int) -> int:
     """i-inversions by direct root counting over the i-th block."""
-    return _negatives(w, _block_roots(w.m, w.n, i))
+    return _negatives(w, delta_block(w.m, w.n, i))
 
 
 def inv_closed(w: GroupElement, i: int) -> int:

@@ -11,6 +11,8 @@ and the group.
 
 from __future__ import annotations
 
+from operator import index
+
 from .group_core import GroupElement
 from .mixed_radix import MixedRadixNumber, Value, _new, decode, encode_width, slot_setters
 
@@ -31,7 +33,7 @@ class SubexceedantFunction(Value):
     __slots__ = ("values",)
 
     def __init__(self, values: tuple[int, ...]):
-        values = tuple(values)
+        values = tuple(map(index, values))
         if len(values) < 1:
             raise ValueError("need at least one value")
         for i, v in enumerate(values, start=1):

@@ -8,7 +8,7 @@ histograms share one pass over the group, taken in chunks of ``_CHUNK``
 elements: each check maps its own functions over the whole chunk before the
 next check starts, so a fault fails one check alone, and a failed check
 skips the chunks after it.  Memory is bounded by one chunk of elements and
-the lists built from it, plus one byte per rank.
+the lists built from it.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from .group_core import (
     power,
 )
 from .statistics import (
-    _block_roots,
     _inversions,
     _negatives,
+    delta_block,
     fmaj,
     inv_closed,
     inversion_table,
@@ -77,8 +77,7 @@ def run_property_checks(
     oracle_ok = additive_ok = m >= 2
     if m >= 2:
         # the blocks partition the simple-side set: their counts sum to the length
-        blocks = [_block_roots(m, n, i) for i in range(1, n + 1)]
-    hit = bytearray(order + 1)  # hit[r]: rank r already taken
+        blocks = [delta_block(m, n, i) for i in range(1, n + 1)]
     inv_counts, fmaj_counts = Counter(), Counter()
     while chunk := list(islice(elements, _CHUNK)):
         if inverse_ok:
@@ -88,15 +87,12 @@ def run_property_checks(
             )
         if rank_ok:
             ranks = list(map(rank, chunk))
+            # unrank undoing rank makes rank one-to-one, so onto 1..order if inside it
             rank_ok = (
                 1 <= min(ranks)
                 and max(ranks) <= order
-                and not any(map(hit.__getitem__, ranks))
                 and list(map(unrank, ranks, repeat(m), repeat(n))) == chunk
             )
-            if rank_ok:
-                for r in ranks:
-                    hit[r] = 1
         if oracle_ok or additive_ok:
             counts = [list(map(_negatives, chunk, repeat(block))) for block in blocks]
             oracle_ok = oracle_ok and all(
@@ -108,8 +104,6 @@ def run_property_checks(
             ) == list(map(sum, zip(*counts)))
         inv_counts.update(map(sum, map(_inversions, chunk)))
         fmaj_counts.update(map(fmaj, chunk))
-    # ranks in 1..order, one per element, cover 1..order only if all distinct
-    rank_ok = rank_ok and hit.count(1) == order
     expected = {k: c for k, c in enumerate(poincare(m, n).coeffs) if c}
     equidistributed = inv_counts == expected and fmaj_counts == expected
     results = [

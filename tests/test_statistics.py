@@ -27,9 +27,6 @@ from gsg.group_core import (
 from gsg.mixed_radix import MixedRadixNumber, decode, encode, encode_width
 from gsg.statistics import (
     QPolynomial,
-    Root,
-    _block_roots,
-    _delta_roots,
     _inversions,
     _negatives,
     act,
@@ -62,34 +59,42 @@ def positive_roots(m, n):
     for j in range(1, n + 1):
         for a in range(m):
             for b in range(a + 1, m):
-                out.add(Root(a, j, b, j))
+                out.add((a, j, b, j))
         for l in range(1, j):
             for b in range(m):
-                out.add(Root(0, j, b, l))
+                out.add((0, j, b, l))
         for l in range(j + 1, n + 1):
             for a in range(m):
                 for b in range(1, m):
-                    out.add(Root(a, j, b, l))
+                    out.add((a, j, b, l))
     return out
+
+
+def negated(r):
+    a, j, b, l = r
+    return b, l, a, j
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_root_count_identities(m, n):
-    roots = all_roots(m, n)
+    roots, d = all_roots(m, n), delta(m, n)
+    blocks = [delta_block(m, n, i) for i in range(1, n + 1)]
+    # the builders return lists, and _negatives counts a repeated root twice
+    for lst in [roots, d, *blocks]:
+        assert len(lst) == len(set(lst))
+    roots, d, blocks = set(roots), set(d), [set(b) for b in blocks]
     assert len(roots) == m * n * (m * n - 1)
     pos = positive_roots(m, n)
-    neg = {r.negated() for r in pos}
+    neg = {negated(r) for r in pos}
     assert pos | neg == roots
     assert not pos & neg
     assert len(pos) == len(neg) == len(roots) // 2
     for r in roots:
-        assert is_negative(r) != is_negative(r.negated())
+        assert is_negative(r) != is_negative(negated(r))
         assert is_negative(r) == (r in neg)
-    d = delta(m, n)
     assert d <= pos
     assert len(d) == n * (m - 1) + m * n * (n - 1) // 2
-    blocks = [delta_block(m, n, i) for i in range(1, n + 1)]
     assert [len(b) for b in blocks] == [m * (n - i + 1) - 1 for i in range(1, n + 1)]
     union = set()
     for b in blocks:
@@ -119,20 +124,20 @@ def test_radix_one_rejected():
 
 
 def test_is_negative_examples():
-    assert is_negative(Root(1, 1, 0, 1))
-    assert not is_negative(Root(0, 2, 0, 1))
-    assert is_negative(Root(0, 1, 0, 2))
+    assert is_negative((1, 1, 0, 1))
+    assert not is_negative((0, 2, 0, 1))
+    assert is_negative((0, 1, 0, 2))
 
 
 def test_act_examples():
     t1 = gen_t(3, 2, 1)
-    image = act(t1, Root(0, 1, 2, 1))
-    assert image == Root(1, 1, 0, 1)
+    image = act(t1, (0, 1, 2, 1))
+    assert image == (1, 1, 0, 1)
     assert is_negative(image)
     for r in all_roots(3, 2):
         assert act(identity(3, 2), r) == r
     s1 = parse_window("2 1", 3)
-    assert act(s1, Root(0, 2, 0, 1)) == Root(0, 1, 0, 2)
+    assert act(s1, (0, 2, 0, 1)) == (0, 1, 0, 2)
 
 
 def test_length_examples():
@@ -172,36 +177,35 @@ def test_length_closed_form_matches_root_count_exhaustive(m, n):
 
 
 def root_count(w, roots):
-    """Oracle: the single-root definitions, one ``Root`` at a time."""
+    """Oracle: the single-root definitions, one root at a time."""
     return sum(1 for r in roots if is_negative(act(w, r)))
 
 
 def assert_tuple_counter_matches_roots(w):
     m, n = w.m, w.n
-    assert _negatives(w, _delta_roots(m, n)) == root_count(w, delta(m, n))
+    d = delta(m, n)
+    assert _negatives(w, d) == root_count(w, d)
     for i in range(1, n + 1):
-        assert _negatives(w, _block_roots(m, n, i)) == root_count(w, delta_block(m, n, i))
+        block = delta_block(m, n, i)
+        assert _negatives(w, block) == root_count(w, block)
 
 
 @pytest.mark.parametrize("m,n", [(2, 4), (3, 3), (4, 3)])
 def test_tuple_root_counter_matches_root_classifier_exhaustive(m, n):
-    assert {Root(*t) for t in _delta_roots(m, n)} == delta(m, n)
-    for i in range(1, n + 1):
-        assert {Root(*t) for t in _block_roots(m, n, i)} == delta_block(m, n, i)
     # one root at a time too: a block count cannot see a color taken from the wrong index
-    roots = [(r.a, r.j, r.b, r.l) for r in all_roots(m, n)]
+    roots = all_roots(m, n)
     for w in enumerate_group(m, n):
         assert_tuple_counter_matches_roots(w)
         for t in roots:
-            assert _negatives(w, [t]) == is_negative(act(w, Root(*t)))
+            assert _negatives(w, [t]) == is_negative(act(w, t))
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_blocks_partition_delta(m, n):
     # verify sums the block counts in place of counting the simple-side set again
-    blocks = [r for i in range(1, n + 1) for r in _block_roots(m, n, i)]
-    assert sorted(blocks) == sorted(_delta_roots(m, n))
+    blocks = [r for i in range(1, n + 1) for r in delta_block(m, n, i)]
+    assert sorted(blocks) == sorted(delta(m, n))
 
 
 def test_oracle_matches_closed_form_random_big():

@@ -1,8 +1,9 @@
-"""The value-class contract shared by the six immutable ``__slots__`` classes.
+"""The value-class contract shared by the five immutable ``__slots__`` classes.
 
 Equality is by class and fields, hashing agrees with equality, fields
-cannot be assigned or deleted, the constructors keep their checks and the
-library's unchecked build path makes objects equal to checked ones.
+cannot be assigned or deleted, the constructors keep their checks, take
+integers only, and the library's unchecked build path makes objects equal
+to checked ones.
 """
 
 import copy
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from gsg.errors import DigitBoundError
 from gsg.group_core import GroupElement, identity
 from gsg.mixed_radix import MixedRadixNumber
-from gsg.statistics import InversionTable, QPolynomial, Root
+from gsg.statistics import InversionTable, QPolynomial
 from gsg.subexceedant import SubexceedantFunction
 
 
@@ -32,14 +33,6 @@ def element_fields(draw):
     n = draw(st.integers(1, 6))
     beta = tuple(draw(st.permutations(range(1, n + 1))))
     return m, n, beta, tuple(draw(st.integers(0, m - 1)) for _ in range(n))
-
-
-@st.composite
-def root_fields(draw):
-    a, j, b, l = (draw(st.integers(0, 3)) for _ in range(4))
-    if (a, j) == (b, l):
-        b += 1
-    return a, j, b, l
 
 
 @st.composite
@@ -63,7 +56,6 @@ def subexceedant_fields(draw):
 FIELDS = {
     MixedRadixNumber: number_fields(),
     GroupElement: element_fields(),
-    Root: root_fields(),
     InversionTable: table_fields(),
     QPolynomial: polynomial_fields(),
     SubexceedantFunction: subexceedant_fields(),
@@ -150,7 +142,6 @@ def test_repr_names_the_fields():
         (lambda: GroupElement(3, 3, (1, 1, 2), (0, 0, 0)), ValueError, "(1, 1, 2) is not a permutation of 1..3"),
         (lambda: GroupElement(3, 3, (1, 2, 3), (0, 0)), ValueError, "one color per position required"),
         (lambda: GroupElement(3, 3, (1, 2, 3), (0, 3, 0)), ValueError, "color 3 outside 0..2"),
-        (lambda: Root(1, 2, 1, 2), ValueError, "the two colored vectors of a root must differ"),
         (lambda: SubexceedantFunction(()), ValueError, "need at least one value"),
         (lambda: SubexceedantFunction((1, 3)), ValueError, "f(2) = 3 outside 1..2"),
     ],
@@ -162,11 +153,32 @@ def test_constructor_checks_keep_their_errors(build, error, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GroupElement(3, 2, (1, 2), (0.5, 0)),
+        lambda: MixedRadixNumber(2, (0.5, 1)),
+        lambda: SubexceedantFunction((1, 1.0)),
+    ],
+    ids=["GroupElement", "MixedRadixNumber", "SubexceedantFunction"],
+)
+def test_constructors_reject_non_integers(build):
+    # a float color would rank as 1.5, a float digit would decode to 2.5
+    with pytest.raises(TypeError):
+        build()
+
+
 def test_constructors_normalise_as_before():
     # digit lists become tuples; trailing zero coefficients are dropped
     assert MixedRadixNumber(3, [1, 2]).digits == (1, 2)
     assert QPolynomial([1, 0, 2, 0, 0]).coeffs == (1, 0, 2)
     assert QPolynomial(()) == QPolynomial((0, 0))
+    # bools become ints, so no window prints True
+    w = GroupElement(2, 2, (True, 2), (0, False))
+    assert w == identity(2, 2) and w.window() == "1 2"
+    assert type(w.beta[0]) is int and type(w.colors[1]) is int
+    assert MixedRadixNumber(True, (False, True)).digits == (0, 1)
+    assert type(SubexceedantFunction((True,)).values[0]) is int
 
 
 @pytest.mark.parametrize(
