@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, chain, permutations, product, repeat, starmap
 from operator import sub
 
 from .errors import BudgetExceeded, IndexOutOfRange, RankOutOfRange, UnsupportedRadix
-from .group_core import DEFAULT_BUDGET, GroupElement, _decimal, enumerate_group
+from .group_core import DEFAULT_BUDGET, GroupElement, _decimal, _require_budget
 from .mixed_radix import Value, _decode, _encode, _radix_product, slot_setters
 
 __all__ = [
@@ -257,32 +257,50 @@ def unrank(r: int, m: int, n: int) -> GroupElement:
     return GroupElement._unchecked(m, n, tuple(beta), tuple(colors))
 
 
+def _earlier_smaller(beta: tuple[int, ...]) -> list[int]:
+    """The count ``s_p`` of earlier smaller values at each position: one
+    binary search each in the sorted earlier values."""
+    earlier: list[int] = []
+    below = []
+    for b in beta:
+        s = bisect_left(earlier, b)
+        earlier.insert(s, b)
+        below.append(s)
+    return below
+
+
+def _flag_exponents(m: int, below: list[int], colors: tuple[int, ...]) -> list[int]:
+    """:func:`fmaj_exponents`, written over ``below``, the counts ``s_p``.
+
+    From p = n down, ``d = s_{p+1} - s_p - 1`` (``s_{n+1} = n``) is negative
+    exactly at a descent, and ``d mod p`` is the part of the exponent that
+    the permutation fixes: all of it at m = 1.
+    """
+    n = len(below)
+    taken, after = 0, n
+    for p in range(n, 0, -1):
+        s = below[p - 1]
+        d = after - s - 1
+        taken += d < 0  # a descent at p
+        c = (colors[p - 1] - taken) % m
+        below[p - 1] = c * p + d % p
+        taken += c
+        after = s
+    return below
+
+
 def fmaj_exponents(w: GroupElement) -> list[int]:
     """Exponents of the unique flag-generator factorization.
 
     ``w`` is the product of the i-th flag generator to the power ``e_i``,
     i = n-1 down to 0.  Peeling a power off position p = i+1 keeps the rest
     in cyclic order and lowers their colors by its color, plus 1 above its
-    value: ``e_i`` follows from the counts ``s_p`` of earlier smaller values,
-    the colors and the descents.  One bisect pass; :func:`phi` walks it back.
+    value: ``e_i = c*p + r_p``, with the remainder ``r_p`` from the counts of
+    earlier smaller values and the peeled color ``c`` from the colors and the
+    descents.  One bisect pass (:func:`_earlier_smaller`) and one walk
+    (:func:`_flag_exponents`); :func:`phi` walks it back.
     """
-    m, n = w.m, w.n
-    earlier: list[int] = []
-    below = []
-    for b in w.beta:
-        s = bisect_left(earlier, b)
-        earlier.insert(s, b)
-        below.append(s)
-    exps = [0] * n
-    taken, s_next, prev = 0, 0, n + 1
-    for p in range(n, 0, -1):
-        b, s = w.beta[p - 1], below[p - 1]
-        taken += b > prev  # a descent at p
-        c = (w.colors[p - 1] - taken) % m
-        exps[p - 1] = c * p + (s_next - s - 1) % p
-        taken += c
-        s_next, prev = s, b
-    return exps
+    return _flag_exponents(w.m, _earlier_smaller(w.beta), w.colors)
 
 
 def fmaj(w: GroupElement) -> int:
@@ -371,6 +389,42 @@ def poincare(m: int, n: int, budget: int = DEFAULT_BUDGET) -> QPolynomial:
     return QPolynomial(tuple(coeffs))
 
 
+def _values(base: int, rows: list[tuple[int, ...]]):
+    """``base`` plus one entry of each row, over ``product(*rows)``: for one
+    permutation's rows, its elements' values in the order of their colors."""
+    return map(sum, product(*rows), repeat(base))
+
+
+def _inversion_terms(m: int, n: int):
+    """``beta -> (base, rows)`` with ``sum(_inversions(w)) == base +
+    sum(map(getitem, rows, colors))`` for each ``w = (beta, colors)``.
+
+    The i-inversion numbers regrouped: ``base = n(n-1)/2 - sum(s_p)``, and a
+    color c > 0 at position p adds ``c + m*s_p``; one row per value of s_p.
+    """
+    weights = [(0, *range(m * s + 1, m * s + m)) for s in range(n)]
+    top = n * (n - 1) // 2
+
+    def terms(beta):
+        below = _earlier_smaller(beta)
+        return top - sum(below), [weights[s] for s in below]
+
+    return terms
+
+
+def _flag_terms(m: int, n: int):
+    """``beta -> (base, rows)`` with ``fmaj(w) == base + sum(map(getitem,
+    rows, peeled))`` for each w with permutation ``beta``, where the
+    exponents of :func:`fmaj_exponents` are ``peeled[p-1]*p + r_p``.
+
+    ``base`` sums the ``r_p``, which are ``beta``'s exponents at m = 1, and
+    ``rows[p-1] = (0, p, .., (m-1)*p)`` for every permutation.
+    """
+    rows = [tuple(range(0, m * p, p)) for p in range(1, n + 1)]
+    plain = bytes(n)  # n colors 0
+    return lambda beta: (sum(_flag_exponents(1, _earlier_smaller(beta), plain)), rows)
+
+
 def histogram(
     statistic: str, m: int, n: int, budget: int = DEFAULT_BUDGET
 ) -> QPolynomial:
@@ -378,15 +432,21 @@ def histogram(
     ``"fmaj"`` or ``"L"``) has value ``k``.
 
     ``inv`` and ``L`` both sum the closed-form i-inversion numbers, but
-    ``L`` needs m >= 2; :func:`length_L_oracle` is the root count.
+    ``L`` needs m >= 2; :func:`length_L_oracle` is the root count.  The
+    sweep builds no element.  Once per permutation it takes the counts of
+    earlier smaller values and the part of the value they fix; then it
+    streams the permutation's m^n colorings from ``itertools.product``,
+    adding one color term per position.  ``fmaj`` streams the peeled colors
+    instead: for a fixed permutation, colors and peeled colors determine
+    each other position by position, from n down.  Memory is O(n + degree).
     """
-    if statistic == "inv":
-        stat = lambda w: sum(_inversions(w))
-    elif statistic == "fmaj":
-        stat = fmaj
-    elif statistic == "L":
-        stat = length_L
-    else:
+    if statistic not in ("inv", "fmaj", "L"):
         raise ValueError(f"unknown statistic {statistic!r}")
-    counts = Counter(map(stat, enumerate_group(m, n, budget)))
+    _require_budget(m, n, budget)
+    if statistic == "L":
+        _require_radix(m)
+    terms = _flag_terms if statistic == "fmaj" else _inversion_terms
+    counts = Counter(
+        chain.from_iterable(starmap(_values, map(terms(m, n), permutations(range(1, n + 1)))))
+    )
     return QPolynomial(tuple(counts[k] for k in range(max(counts) + 1)))

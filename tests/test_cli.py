@@ -9,7 +9,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import gsg.statistics
 import gsg.verify
 from gsg.cli import main
 from gsg.errors import BudgetExceeded
@@ -344,11 +343,12 @@ def test_verify_enumerates_the_group_once(monkeypatch):
         calls.append(args)
         return real(*args)
 
-    # histogram's sweeps would count too
-    for module in (gsg.verify, gsg.statistics):
-        monkeypatch.setattr(module, "enumerate_group", counting)
+    monkeypatch.setattr(gsg.verify, "enumerate_group", counting)
     assert all(ok for _, ok in run_property_checks(3, 3))
     assert len(calls) == 1
+    # the equidistribution check fills its histograms in the same pass, with no sweep of its own
+    assert not hasattr(gsg.verify, "histogram")
+    assert "histogram" not in run_property_checks.__code__.co_names
 
 
 def test_text_encode(capsys):

@@ -4,6 +4,7 @@ import itertools
 import random
 import sys
 from math import factorial
+from operator import getitem
 
 import pytest
 from hypothesis import given, settings
@@ -24,11 +25,15 @@ from gsg.group_core import (
     parse_window,
     power,
 )
+import gsg.statistics
 from gsg.mixed_radix import MixedRadixNumber, decode, encode, encode_width
 from gsg.statistics import (
     QPolynomial,
+    _flag_terms,
+    _inversion_terms,
     _inversions,
     _negatives,
+    _values,
     act,
     all_roots,
     delta,
@@ -426,6 +431,67 @@ def test_histogram_rejects_an_unknown_statistic_before_the_budget():
     assert not isinstance(exc.value, BudgetExceeded)
 
 
+HISTOGRAM_ARGUMENT_ERRORS = {
+    "statistic first": (("maj", 0, 60, 10), ValueError, "unknown statistic 'maj'"),
+    "empty group": (("L", 0, 60, 10), ValueError, "need m >= 1 and n >= 1"),
+    "budget": (("L", 1, 60, 10), BudgetExceeded, "order of G(1,1,60) exceeds budget 10"),
+    "radix": (("L", 1, 3, 10**6), UnsupportedRadix, "root system machinery needs m >= 2, got m=1"),
+}
+
+
+@pytest.mark.parametrize(
+    "args,error,message", HISTOGRAM_ARGUMENT_ERRORS.values(), ids=HISTOGRAM_ARGUMENT_ERRORS.keys()
+)
+def test_histogram_checks_its_arguments_in_order_before_any_sweep_work(
+    monkeypatch, args, error, message
+):
+    def no_work(*args):
+        raise AssertionError("the sweep started before the argument checks")
+
+    for name in ("_inversion_terms", "_flag_terms", "_earlier_smaller"):
+        monkeypatch.setattr(gsg.statistics, name, no_work)
+    with pytest.raises(error) as exc:
+        histogram(*args)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+def test_histogram_builds_no_element(monkeypatch):
+    def no_element(*args):
+        raise AssertionError("histogram built a group element")
+
+    monkeypatch.setattr(GroupElement, "_unchecked", staticmethod(no_element))
+    monkeypatch.setattr(GroupElement, "__init__", no_element)
+    for statistic in ("inv", "fmaj", "L"):
+        assert histogram(statistic, 3, 3) == poincare(3, 3)
+
+
+def peeled_colors(w):
+    """The color c of each flag-generator exponent ``c*p + r_p``, with ``r_p < p``."""
+    return tuple(e // p for p, e in enumerate(fmaj_exponents(w), start=1))
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 5)])
+def test_sweep_values_match_each_element_exhaustive(m, n):
+    # histogram == poincare cannot see two values swapped between elements; this can
+    inv_terms, flag_terms = _inversion_terms(m, n), _flag_terms(m, n)
+    colorings = list(itertools.product(range(m), repeat=n))
+    for beta in itertools.permutations(range(1, n + 1)):
+        group = [GroupElement(m, n, beta, colors) for colors in colorings]
+        # inv: one value per element, in the order of its colors
+        base, rows = inv_terms(beta)
+        assert list(_values(base, rows)) == [sum(_inversions(w)) for w in group]
+        for w in group:
+            assert base + sum(map(getitem, rows, w.colors)) == sum(_inversions(w))
+        # fmaj: one value per element, in the order of its peeled colors
+        base, rows = flag_terms(beta)
+        by_peeled = {peeled_colors(w): w for w in group}
+        assert sorted(by_peeled) == colorings
+        assert list(_values(base, rows)) == [fmaj(by_peeled[c]) for c in colorings]
+        for c, w in by_peeled.items():
+            assert base + sum(map(getitem, rows, c)) == fmaj(w) == adin_roichman_fmaj(w)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_groups_of_one_position(m):
     # G(m,1,1) is the cyclic group of the m colors of the single value 1
@@ -598,6 +664,16 @@ def large_elements(draw, max_n=2000):
 @given(large_elements())
 def test_fmaj_matches_adin_roichman_property(w):
     assert fmaj(w) == adin_roichman_fmaj(w)
+
+
+@given(elements())
+def test_sweep_terms_give_each_element_its_values_property(w):
+    base, rows = _inversion_terms(w.m, w.n)(w.beta)
+    assert base + sum(map(getitem, rows, w.colors)) == sum(_inversions(w))
+    peeled = peeled_colors(w)
+    assert all(0 <= c < w.m for c in peeled)
+    base, rows = _flag_terms(w.m, w.n)(w.beta)
+    assert base + sum(map(getitem, rows, peeled)) == fmaj(w) == adin_roichman_fmaj(w)
 
 
 @settings(deadline=None)
