@@ -48,7 +48,7 @@ for i in range(n):
 w0 = longest_element(m, n)
 print("w0 =", w0)
 
-# word length over {t_1, s_1, .., s_{n-1}} by breadth-first search
+# word length over {t_1, s_1, .., s_{n-1}}, in Bagno's closed form
 print("word length of t2:", canonical_length(gen_t(m, n, 2)))
 print("word length of w0:", canonical_length(w0), "= n(n+m-2) =", n * (n + m - 2))
 

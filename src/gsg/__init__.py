@@ -5,7 +5,7 @@ The package covers, for the group of m-colored permutations on n letters:
 * a mixed-radix number system whose n-digit strings count the group exactly
   (:mod:`gsg.mixed_radix`),
 * exact group arithmetic on colored permutations with generator families and
-  word-length search (:mod:`gsg.group_core`),
+  closed-form word length (:mod:`gsg.group_core`),
 * the subexceedant-function bijection between integers and group elements
   (:mod:`gsg.subexceedant`),
 * root-system inversion statistics, rank/unrank enumeration, the flag-major

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections import Counter, deque
-from collections.abc import Iterator
+from bisect import bisect_left
+from collections import Counter
+from collections.abc import Iterator, Sequence
 from math import factorial
 from operator import index
 
@@ -253,34 +254,30 @@ def longest_element(m: int, n: int) -> GroupElement:
     return GroupElement(m, n, tuple(range(1, n + 1)), (m - 1,) * n)
 
 
-def canonical_length(w: GroupElement, budget: int = DEFAULT_BUDGET) -> int:
-    """Length of the shortest positive word in the standard generators.
+def _earlier_smaller(beta: Sequence[int]) -> list[int]:
+    """The count ``s_p`` of earlier smaller values at each position: one
+    binary search each in the sorted earlier values."""
+    earlier: list[int] = []
+    below = []
+    for b in beta:
+        s = bisect_left(earlier, b)
+        earlier.insert(s, b)
+        below.append(s)
+    return below
 
-    Breadth-first search over the Cayley graph from the identity, using the
-    letters ``t_1, s_1, .., s_{n-1}`` only (no formal inverses: the
-    transpositions are involutions and ``t_1`` has finite order).
+
+def canonical_length(w: GroupElement, budget: int = DEFAULT_BUDGET) -> int:
+    """Length of the shortest positive word in ``t_1, s_1, .., s_{n-1}``.
+
+    Bagno's closed form: ``inv(key) + sum over colored positions k of
+    (beta_k + c_k - 1)``, with the key ``-beta_k`` at colored positions and
+    ``beta_k`` elsewhere; ``inv(key)`` from one :func:`_earlier_smaller`
+    pass.  :class:`BudgetExceeded` once the group order passes ``budget``.
     """
     _require_budget(w.m, w.n, budget)
-    gens = [gen_t(w.m, w.n, 1)] + [gen_s(w.m, w.n, i) for i in range(1, w.n)]
-    start = identity(w.m, w.n)
-    if w == start:
-        return 0
-    seen = {start}
-    frontier = deque([start])
-    dist = 0
-    while frontier:
-        dist += 1
-        for _ in range(len(frontier)):
-            u = frontier.popleft()
-            for g in gens:
-                v = multiply(u, g)
-                if v in seen:
-                    continue
-                if v == w:
-                    return dist
-                seen.add(v)
-                frontier.append(v)
-    raise AssertionError("generators failed to reach the element")  # unreachable
+    key = [-b if c else b for b, c in zip(w.beta, w.colors)]
+    colored = sum(b + c - 1 for b, c in zip(w.beta, w.colors) if c)
+    return w.n * (w.n - 1) // 2 - sum(_earlier_smaller(key)) + colored
 
 
 def enumerate_group(

@@ -23,7 +23,7 @@ from itertools import accumulate, chain, permutations, product, repeat, starmap
 from operator import sub
 
 from .errors import BudgetExceeded, IndexOutOfRange, RankOutOfRange, UnsupportedRadix
-from .group_core import DEFAULT_BUDGET, GroupElement, _decimal, _require_budget
+from .group_core import DEFAULT_BUDGET, GroupElement, _decimal, _earlier_smaller, _require_budget
 from .mixed_radix import Value, _decode, _encode, _radix_product, slot_setters
 
 __all__ = [
@@ -257,18 +257,6 @@ def unrank(r: int, m: int, n: int) -> GroupElement:
     return GroupElement._unchecked(m, n, tuple(beta), tuple(colors))
 
 
-def _earlier_smaller(beta: tuple[int, ...]) -> list[int]:
-    """The count ``s_p`` of earlier smaller values at each position: one
-    binary search each in the sorted earlier values."""
-    earlier: list[int] = []
-    below = []
-    for b in beta:
-        s = bisect_left(earlier, b)
-        earlier.insert(s, b)
-        below.append(s)
-    return below
-
-
 def _flag_exponents(m: int, below: list[int], colors: tuple[int, ...]) -> list[int]:
     """:func:`fmaj_exponents`, written over ``below``, the counts ``s_p``.
 
@@ -335,10 +323,11 @@ class QPolynomial(Value):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: tuple[int, ...]):
-        trimmed = tuple(coeffs)
-        while trimmed and trimmed[-1] == 0:
-            trimmed = trimmed[:-1]
-        _set_coeffs(self, trimmed)
+        coeffs = tuple(coeffs)
+        end = len(coeffs)
+        while end and coeffs[end - 1] == 0:
+            end -= 1
+        _set_coeffs(self, coeffs[:end])
 
     @classmethod
     def q_integer(cls, k: int) -> "QPolynomial":

@@ -5,7 +5,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsg.errors import (
@@ -29,6 +29,7 @@ from gsg.group_core import (
     parse_window,
     power,
 )
+from gsg.statistics import length_L
 
 
 def test_identity_and_unit_laws():
@@ -184,6 +185,34 @@ def test_canonical_length_examples():
     assert canonical_length(longest_element(3, 2)) == 6
 
 
+def bfs_word_lengths(m, n):
+    """Oracle: each element's distance from the identity, by breadth-first
+    search right-multiplying by ``t_1, s_1, .., s_{n-1}``."""
+    gens = [gen_t(m, n, 1)] + [gen_s(m, n, i) for i in range(1, n)]
+    dist = {identity(m, n): 0}
+    frontier = [identity(m, n)]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for g in gens:
+                v = multiply(u, g)
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
+@pytest.mark.parametrize(
+    "m,n", [(1, 5), (1, 6), (2, 4), (2, 5), (3, 3), (3, 4), (4, 3), (5, 3)]
+)
+def test_canonical_length_matches_bfs_on_whole_group(m, n):
+    dist = bfs_word_lengths(m, n)
+    assert len(dist) == group_order(m, n)
+    for w in enumerate_group(m, n):
+        assert canonical_length(w) == dist[w], w.window()
+
+
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (2, 3)])
 def test_generators_reach_whole_group(m, n):
     gens = [gen_t(m, n, 1)] + [gen_s(m, n, i) for i in range(1, n)]
@@ -315,6 +344,26 @@ def test_multiply_and_inverse_compose_pointwise_property(u, data):
     e = identity(m, n)
     assert multiply(inverse(u), u) == e
     assert multiply(u, inverse(u)) == e
+
+
+@settings(max_examples=40, deadline=None)
+@given(elements(max_n=300))
+def test_canonical_length_is_the_word_metric_property(w):
+    # l(e) = 0, each letter moves l by at most 1, and every w != e has a
+    # letter that shortens it: together these define the word length
+    m, n = w.m, w.n
+    budget = group_order(m, n)
+    length = canonical_length(w, budget)
+    assert canonical_length(identity(m, n), budget) == 0
+    gens = [gen_t(m, n, 1)] + [gen_s(m, n, i) for i in range(1, n)]
+    for g in gens:
+        assert canonical_length(multiply(w, g), budget) <= length + 1
+    if w != identity(m, n):
+        assert any(
+            canonical_length(multiply(w, power(g, -1)), budget) == length - 1 for g in gens
+        )
+    if m == 2:
+        assert length_L(w) == length
 
 
 @given(elements(), st.integers(0, 8), st.integers(0, 8))

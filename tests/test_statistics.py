@@ -3,6 +3,7 @@
 import itertools
 import random
 import sys
+import time
 from math import factorial
 from operator import getitem
 
@@ -410,6 +411,17 @@ def test_qpolynomial_basics():
     assert (QPolynomial((1, 1)) * QPolynomial((1, 1, 1, 1))).coeffs == (1, 2, 2, 2, 1)
     assert QPolynomial((1, 0, 0)).coeffs == (1,)
     assert str(QPolynomial((1, 2, 1))) == "1,2,1"
+
+
+def test_qpolynomial_trims_trailing_zeros_in_linear_time():
+    assert QPolynomial((0, 0)).coeffs == ()
+    long = (1,) + (0,) * 100_000
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        assert QPolynomial(long) == QPolynomial((1,))
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.5, f"took {best:.6f}s, budget 0.5s"
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (5, 2)])
