@@ -123,6 +123,9 @@ _set_m, _set_n, _set_beta, _set_colors = slot_setters(GroupElement)
 
 
 def group_order(m: int, n: int) -> int:
+    m, n = index(m), index(n)
+    if m < 1 or n < 1:
+        raise ValueError("need m >= 1 and n >= 1")
     return m**n * factorial(n)
 
 
@@ -302,6 +305,7 @@ def parse_window(text: str, m: int) -> GroupElement:
     The number of entries fixes n; the values must form a permutation of
     1..n and color prefixes must lie in 1..m-1 (so m = 1 takes none).
     """
+    m = index(m)
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     if not text:

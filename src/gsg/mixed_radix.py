@@ -176,6 +176,7 @@ _set_m, _set_digits = slot_setters(MixedRadixNumber)
 
 def weights(m: int, count: int) -> list[int]:
     """First ``count`` positional weights ``m**i * i!``, exactly."""
+    m, count = index(m), index(count)
     if m < 1 or count < 1:
         raise ValueError("m and count must be positive")
     out = [1]
@@ -251,8 +252,7 @@ def encode(x: int, m: int) -> MixedRadixNumber:
     """Minimal-width digits of ``x``: ``encode_width`` at the smallest width
     that holds it.  ``encode(0, m)`` is the single digit ``(0)``.
     """
-    if x < 0:
-        raise ValueError(f"cannot encode negative integer {x}")
+    x, m = index(x), index(m)
     if m < 1:
         raise ValueError(f"radix seed must be >= 1, got {m}")
     return encode_width(x, m, _width(x, m))
@@ -265,6 +265,7 @@ def encode_width(x: int, m: int, n: int) -> MixedRadixNumber:
     lower positions leave.  Raises OverflowError when ``x >= m**n * n!``,
     i.e. when ``x`` does not fit in ``n`` digits.
     """
+    x, m, n = index(x), index(m), index(n)
     if n < 1:
         raise ValueError(f"width must be >= 1, got {n}")
     if x < 0:

@@ -257,14 +257,20 @@ def unrank(r: int, m: int, n: int) -> GroupElement:
     return GroupElement._unchecked(m, n, tuple(beta), tuple(colors))
 
 
-def _flag_exponents(m: int, below: list[int], colors: tuple[int, ...]) -> list[int]:
-    """:func:`fmaj_exponents`, written over ``below``, the counts ``s_p``.
+def fmaj_exponents(w: GroupElement) -> list[int]:
+    """Exponents of the unique flag-generator factorization.
 
-    From p = n down, ``d = s_{p+1} - s_p - 1`` (``s_{n+1} = n``) is negative
-    exactly at a descent, and ``d mod p`` is the part of the exponent that
-    the permutation fixes: all of it at m = 1.
+    ``w`` is the product of the i-th flag generator to the power ``e_i``,
+    i = n-1 down to 0.  Peeling a power off position p = i+1 keeps the rest
+    in cyclic order and lowers their colors by its color, plus 1 above its
+    value: ``e_i = c*p + r_p``.  With ``s_p`` the counts of earlier smaller
+    values (one :func:`_earlier_smaller` pass, ``s_{n+1} = n``), the walk
+    from p = n down has ``r_p = d mod p`` for ``d = s_{p+1} - s_p - 1``,
+    negative exactly at a descent; the descents and the colors give ``c``.
+    :func:`phi` walks it back.
     """
-    n = len(below)
+    m, n, colors = w.m, w.n, w.colors
+    below = _earlier_smaller(w.beta)
     taken, after = 0, n
     for p in range(n, 0, -1):
         s = below[p - 1]
@@ -275,20 +281,6 @@ def _flag_exponents(m: int, below: list[int], colors: tuple[int, ...]) -> list[i
         taken += c
         after = s
     return below
-
-
-def fmaj_exponents(w: GroupElement) -> list[int]:
-    """Exponents of the unique flag-generator factorization.
-
-    ``w`` is the product of the i-th flag generator to the power ``e_i``,
-    i = n-1 down to 0.  Peeling a power off position p = i+1 keeps the rest
-    in cyclic order and lowers their colors by its color, plus 1 above its
-    value: ``e_i = c*p + r_p``, with the remainder ``r_p`` from the counts of
-    earlier smaller values and the peeled color ``c`` from the colors and the
-    descents.  One bisect pass (:func:`_earlier_smaller`) and one walk
-    (:func:`_flag_exponents`); :func:`phi` walks it back.
-    """
-    return _flag_exponents(w.m, _earlier_smaller(w.beta), w.colors)
 
 
 def fmaj(w: GroupElement) -> int:
@@ -406,12 +398,12 @@ def _flag_terms(m: int, n: int):
     rows, peeled))`` for each w with permutation ``beta``, where the
     exponents of :func:`fmaj_exponents` are ``peeled[p-1]*p + r_p``.
 
-    ``base`` sums the ``r_p``, which are ``beta``'s exponents at m = 1, and
-    ``rows[p-1] = (0, p, .., (m-1)*p)`` for every permutation.
+    ``base`` sums the ``r_p``: at color 0 they are the flag exponents of
+    ``beta`` alone, whose sum is its major index, the sum of its descent
+    positions.  ``rows[p-1] = (0, p, .., (m-1)*p)`` for every permutation.
     """
     rows = [tuple(range(0, m * p, p)) for p in range(1, n + 1)]
-    plain = bytes(n)  # n colors 0
-    return lambda beta: (sum(_flag_exponents(1, _earlier_smaller(beta), plain)), rows)
+    return lambda beta: (sum(p for p in range(1, n) if beta[p - 1] > beta[p]), rows)
 
 
 def histogram(
@@ -422,8 +414,9 @@ def histogram(
 
     ``inv`` and ``L`` both sum the closed-form i-inversion numbers, but
     ``L`` needs m >= 2; :func:`length_L_oracle` is the root count.  The
-    sweep builds no element.  Once per permutation it takes the counts of
-    earlier smaller values and the part of the value they fix; then it
+    sweep builds no element.  Once per permutation it takes the part of the
+    value that the permutation fixes (for ``inv`` and ``L`` from the counts
+    of earlier smaller values, for ``fmaj`` its major index); then it
     streams the permutation's m^n colorings from ``itertools.product``,
     adding one color term per position.  ``fmaj`` streams the peeled colors
     instead: for a fixed permutation, colors and peeled colors determine

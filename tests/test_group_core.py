@@ -141,6 +141,12 @@ def test_enumerate_count(m, n, count):
     assert group_order(m, n) == count
 
 
+@pytest.mark.parametrize("m,n", [(-2, 3), (0, 3), (2, 0), (2, -1)])
+def test_group_order_rejects_empty_parameters(m, n):
+    with pytest.raises(ValueError, match=r"^need m >= 1 and n >= 1$"):
+        group_order(m, n)
+
+
 def test_enumerate_budget():
     with pytest.raises(BudgetExceeded):
         enumerate_group(3, 8, budget=1000)  # raises at call time, not first next()

@@ -478,6 +478,17 @@ def test_histogram_builds_no_element(monkeypatch):
         assert histogram(statistic, 3, 3) == poincare(3, 3)
 
 
+@pytest.mark.parametrize("m,n", [(1, 6), (2, 4), (3, 3), (4, 3)])
+def test_fmaj_sweep_runs_no_bisect_pass_and_no_walk(monkeypatch, m, n):
+    # each permutation's fixed part is its major index, a sum over its descents
+    def no_pass(*args):
+        raise AssertionError("the fmaj sweep ran a bisect pass or the flag walk")
+
+    monkeypatch.setattr(gsg.statistics, "_earlier_smaller", no_pass)
+    monkeypatch.setattr(gsg.statistics, "fmaj_exponents", no_pass)
+    assert histogram("fmaj", m, n) == poincare(m, n)
+
+
 def peeled_colors(w):
     """The color c of each flag-generator exponent ``c*p + r_p``, with ``r_p < p``."""
     return tuple(e // p for p, e in enumerate(fmaj_exponents(w), start=1))

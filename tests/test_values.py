@@ -14,8 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gsg.errors import DigitBoundError
-from gsg.group_core import GroupElement, identity
-from gsg.mixed_radix import MixedRadixNumber
+from gsg.group_core import GroupElement, group_order, identity, parse_window
+from gsg.mixed_radix import MixedRadixNumber, encode, encode_width, weights
 from gsg.statistics import InversionTable, QPolynomial
 from gsg.subexceedant import SubexceedantFunction
 
@@ -179,6 +179,31 @@ def test_constructors_normalise_as_before():
     assert type(w.beta[0]) is int and type(w.colors[1]) is int
     assert MixedRadixNumber(True, (False, True)).digits == (0, 1)
     assert type(SubexceedantFunction((True,)).values[0]) is int
+
+
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        (lambda k: encode(k, 2), lambda d: d.digits[0]),
+        (lambda k: encode(5, k), lambda d: d.m),
+        (lambda k: encode_width(k, 2, 3), lambda d: d.digits[0]),
+        (lambda k: encode_width(5, k, 3), lambda d: d.m),
+        (lambda k: encode_width(1, 2, k), lambda d: d.n),
+        (lambda k: weights(k, 3), lambda ws: ws[2]),
+        (lambda k: weights(2, k), len),
+        (lambda k: parse_window("1 2", k), lambda w: w.m),
+        (lambda k: group_order(k, 3), lambda order: order),
+        (lambda k: group_order(2, k), lambda order: order),
+    ],
+    ids=["encode x", "encode m", "encode_width x", "encode_width m", "encode_width n",
+         "weights m", "weights count", "parse_window m", "group_order m", "group_order n"],
+)
+def test_codec_parser_and_order_take_integers_only(call, field):
+    # as the checked constructors: a float raises, a bool becomes an int field
+    with pytest.raises(TypeError):
+        call(1.0)
+    value = field(call(True))
+    assert type(value) is int and value == field(call(1))
 
 
 @pytest.mark.parametrize(
