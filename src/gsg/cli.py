@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("unrank", _cmd_unrank, "window at a 1-based rank", m, n)
     p.add_argument("rank", type=_integer)
 
-    p = command("stats", _cmd_stats, "all statistics of a window, as JSON", m, budget)
+    p = command("stats", _cmd_stats, "all statistics of a window, as JSON", m)
     p.add_argument("--bfs", action="store_true", help="also compute word length")
     p.add_argument("window")
 
@@ -133,7 +133,7 @@ def _cmd_stats(args) -> int:
         "integer_rep": decode(digits),
     }
     if args.bfs:
-        out["canonical_length"] = canonical_length(w, args.budget)
+        out["canonical_length"] = canonical_length(w)
     print(json.dumps(out))
     return EXIT_OK
 

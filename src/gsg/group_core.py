@@ -269,15 +269,13 @@ def _earlier_smaller(beta: Sequence[int]) -> list[int]:
     return below
 
 
-def canonical_length(w: GroupElement, budget: int = DEFAULT_BUDGET) -> int:
+def canonical_length(w: GroupElement) -> int:
     """Length of the shortest positive word in ``t_1, s_1, .., s_{n-1}``.
 
     Bagno's closed form: ``inv(key) + sum over colored positions k of
     (beta_k + c_k - 1)``, with the key ``-beta_k`` at colored positions and
-    ``beta_k`` elsewhere; ``inv(key)`` from one :func:`_earlier_smaller`
-    pass.  :class:`BudgetExceeded` once the group order passes ``budget``.
+    ``beta_k`` elsewhere; ``inv(key)`` from one :func:`_earlier_smaller` pass.
     """
-    _require_budget(w.m, w.n, budget)
     key = [-b if c else b for b, c in zip(w.beta, w.colors)]
     colored = sum(b + c - 1 for b, c in zip(w.beta, w.colors) if c)
     return w.n * (w.n - 1) // 2 - sum(_earlier_smaller(key)) + colored

@@ -2,20 +2,23 @@
 
 The presentation check lists the defining relations of G(m,1,n) on the
 generators s_1..s_{n-1}, t_1..t_n as (lhs, rhs) pairs, each commuting pair
-once, and passes when every pair is equal.  The budget is checked once,
-before any other work.  The per-element checks and both equidistribution
-histograms share one pass over the group, taken in chunks of ``_CHUNK``
-elements: each check maps its own functions over the whole chunk before the
-next check starts, so a fault fails one check alone, and a failed check
-skips the chunks after it.  Memory is bounded by one chunk of elements and
-the lists built from it.
+once, and passes when every pair is equal.  The root checks count, block by
+block, the roots of ``delta_block(m, n, i)`` that an element sends negative:
+"oracle agreement" compares the counts with its :func:`inversion_table`
+entries, and "length additivity" their sum with its :func:`length_L`.  The
+budget is checked once, before any other work.  The per-element checks and
+both equidistribution histograms share one pass over the group, taken in
+chunks of ``_CHUNK`` elements: each check maps its own functions over the
+whole chunk before the next check starts, so a fault fails one check alone,
+and a failed check skips the chunks after it.  Memory is bounded by one
+chunk of elements and the lists built from it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations, islice, repeat
-from operator import attrgetter, eq
+from operator import eq
 
 from .group_core import (
     DEFAULT_BUDGET,
@@ -33,8 +36,8 @@ from .statistics import (
     _negatives,
     delta_block,
     fmaj,
-    inv_closed,
     inversion_table,
+    length_L,
     poincare,
     rank,
     unrank,
@@ -67,8 +70,8 @@ def run_property_checks(
 ) -> list[tuple[str, bool]]:
     """Run the invariant sweep over the whole group; (name, passed) pairs.
 
-    Root-system checks need m >= 2 and are skipped for m = 1 (the inversion
-    table then falls back to the closed form throughout).
+    The root checks (:func:`inversion_table` against the block counts,
+    :func:`length_L` against their sum) need m >= 2 and are skipped for m = 1.
     """
     elements = enumerate_group(m, n, budget)  # checks the budget before any work
     e = identity(m, n)
@@ -94,14 +97,9 @@ def run_property_checks(
                 and list(map(unrank, ranks, repeat(m), repeat(n))) == chunk
             )
         if oracle_ok or additive_ok:
-            counts = [list(map(_negatives, chunk, repeat(block))) for block in blocks]
-            oracle_ok = oracle_ok and all(
-                column == list(map(inv_closed, chunk, repeat(i)))
-                for i, column in enumerate(counts, start=1)
-            )
-            additive_ok = additive_ok and list(
-                map(sum, map(attrgetter("entries"), map(inversion_table, chunk)))
-            ) == list(map(sum, zip(*counts)))
+            rows = list(zip(*(map(_negatives, chunk, repeat(block)) for block in blocks)))
+            oracle_ok = oracle_ok and rows == [t.entries for t in map(inversion_table, chunk)]
+            additive_ok = additive_ok and list(map(length_L, chunk)) == list(map(sum, rows))
         inv_counts.update(map(sum, map(_inversions, chunk)))
         fmaj_counts.update(map(fmaj, chunk))
     expected = {k: c for k, c in enumerate(poincare(m, n).coeffs) if c}

@@ -239,24 +239,34 @@ def assert_only_check_fails(name, m=3, n=3):
         assert all(results.values()), (size, results)
 
 
+def patch_inversion_table(monkeypatch, target, change):
+    """Make ``gsg.verify.inversion_table`` return ``change(entries)`` for ``target``."""
+    real = gsg.verify.inversion_table
+
+    def patched(w):
+        t = real(w)
+        return InversionTable(t.m, t.n, change(t.entries)) if w == target else t
+
+    monkeypatch.setattr(gsg.verify, "inversion_table", patched)
+
+
 def test_verify_oracle_agreement_catches_one_wrong_inversion_number(monkeypatch):
-    real, target = gsg.verify.inv_closed, parse_window("[2]3 [1]1 2", 3)
-    monkeypatch.setattr(
-        gsg.verify, "inv_closed", lambda w, i: real(w, i) + (w == target and i == 1)
-    )
+    target = parse_window("[2]3 [1]1 2", 3)
+    patch_inversion_table(monkeypatch, target, lambda e: (e[0] + 1,) + e[1:])
     assert_only_check_fails("oracle agreement")
 
 
-def test_verify_length_additivity_catches_one_wrong_inversion_table(monkeypatch):
-    real, target = gsg.verify.inversion_table, parse_window("[2]3 [1]1 2", 3)
+def test_verify_oracle_agreement_catches_a_reordered_inversion_table(monkeypatch):
+    # (1, 2, 2) becomes (2, 2, 1): the same sum, so only the entry-by-entry check sees it
+    target = parse_window("[2]3 [1]1 2", 3)
+    assert inversion_table(target).entries == (1, 2, 2)
+    patch_inversion_table(monkeypatch, target, lambda e: e[::-1])
+    assert_only_check_fails("oracle agreement")
 
-    def off_by_one(w):
-        t = real(w)
-        if w != target:
-            return t
-        return InversionTable(t.m, t.n, (t.entries[0] + 1,) + t.entries[1:])
 
-    monkeypatch.setattr(gsg.verify, "inversion_table", off_by_one)
+def test_verify_length_additivity_catches_one_wrong_length(monkeypatch):
+    real, target = gsg.verify.length_L, parse_window("[2]3 [1]1 2", 3)
+    monkeypatch.setattr(gsg.verify, "length_L", lambda w: real(w) + (w == target))
     assert_only_check_fails("length additivity")
 
 
@@ -290,13 +300,11 @@ def test_verify_rank_bijection_catches_one_wrong_rank(monkeypatch, wrong):
 
 
 def test_verify_catches_one_fault_in_the_last_chunk(monkeypatch):
-    real, target = gsg.verify.inv_closed, parse_window("[1]4 [2]3 2 [1]1", 3)
+    target = parse_window("[1]4 [2]3 2 [1]1", 3)
     elements = list(enumerate_group(3, 4))
     last_chunk = (len(elements) - 1) // gsg.verify._CHUNK * gsg.verify._CHUNK
     assert elements.index(target) >= last_chunk > 0
-    monkeypatch.setattr(
-        gsg.verify, "inv_closed", lambda w, i: real(w, i) + (w == target and i == 2)
-    )
+    patch_inversion_table(monkeypatch, target, lambda e: e[:1] + (e[1] + 1,) + e[2:])
     assert_only_check_fails("oracle agreement", 3, 4)
 
 
@@ -392,7 +400,8 @@ COMMAND_FORMS = [
     ("element decode", {"--m": "3"}, ["2 1"]),
     ("rank", {"--m": "3"}, ["2 1"]),
     ("unrank", {"--m": "3", "--n": "3"}, ["1"]),
-    ("stats", {"--m": "3", "--budget": "100"}, ["2 1"]),
+    ("stats", {"--m": "3"}, ["2 1"]),
+    ("stats --bfs", {"--m": "3"}, ["2 1"]),
     ("table", {"--m": "3", "--n": "2", "--budget": "100"}, []),
     ("poincare", {"--m": "3", "--n": "2", "--budget": "100"}, []),
     ("verify", {"--m": "3", "--n": "2", "--budget": "100"}, []),
@@ -483,13 +492,22 @@ def test_range_errors_exit_3(capsys):
 def test_budget_errors_exit_4(capsys):
     code, _, err = run(capsys, "table", "--m", "3", "--n", "8", "--budget", "1000")
     assert code == 4
-    code, _, err = run(
-        capsys, "stats", "--m", "3", "--bfs", "--budget", "10", "1 [1]2 3"
-    )
-    assert code == 4
     code, out, err = run(capsys, "verify", "--m", "2", "--n", "60", "--budget", "10")
     assert code == 4
     assert out == "" and err.count("\n") == 1
+
+
+def test_stats_word_length_needs_no_budget(capsys):
+    # G(2,1,8) has 10,321,920 elements, past the default budget of the sweeping commands
+    window = " ".join(f"[1]{v}" for v in range(1, 9))
+    code, out, _ = run(capsys, "stats", "--m", "2", "--bfs", window)
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["canonical_length"] == payload["L"] == 64
+    with pytest.raises(SystemExit) as exc:
+        main(["stats", "--m", "3", "--budget", "10", "2 1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_roundtrips(capsys):
