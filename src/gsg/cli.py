@@ -125,10 +125,10 @@ def _cmd_stats(args) -> int:
     out = {
         "inv_table": str(table),
         # length additivity: L is the sum of the i-inversion numbers
-        "L": sum(table.entries),
+        "L": sum(table.digits),
         "fmaj": sum(exponents),
         "fmaj_exponents": exponents,
-        "rank": rank(w),
+        "rank": decode(table) + 1,
         "subexceedant_digits": str(digits),
         "integer_rep": decode(digits),
     }

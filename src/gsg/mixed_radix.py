@@ -116,8 +116,9 @@ def _quote(text: str) -> str:
 class MixedRadixNumber(Value):
     """A digit vector in the mixed-radix system with seed ``m``.
 
-    Digits are stored least-significant first; the text form renders them
-    most-significant first, colon-separated, e.g. ``"3:13:1:5:2"``.
+    ``digits`` are stored least-significant first; ``entries`` and the
+    colon-separated text form list them most-significant first, e.g.
+    ``"3:13:1:5:2"``.  An inversion table is one of these.
     """
 
     __slots__ = ("m", "digits")
@@ -149,6 +150,11 @@ class MixedRadixNumber(Value):
     def n(self) -> int:
         """Number of digits (the width)."""
         return len(self.digits)
+
+    @property
+    def entries(self) -> tuple[int, ...]:
+        """The digits most significant first, as the text form lists them."""
+        return self.digits[::-1]
 
     @classmethod
     def from_text(cls, text: str, m: int) -> "MixedRadixNumber":

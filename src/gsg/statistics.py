@@ -4,8 +4,8 @@ The root system lives on colored basis vectors: a root is the formal
 difference of two distinct colored vectors ``(a, j)`` and ``(b, l)``, held
 as the plain int tuple ``(a, j, b, l)``.  The root-theoretic length of an
 element is the number of simple-side roots it sends negative; split by
-anchor coordinate this gives the i-inversion numbers, whose vector is a
-valid mixed-radix digit string.  The library computes those numbers in
+anchor coordinate this gives the i-inversion numbers, returned as a
+mixed-radix digit string.  The library computes those numbers in
 closed form, in one pass over the window, and the length as their sum;
 counting roots is kept as the oracle (:func:`length_L_oracle`,
 :func:`inv_oracle`).  :func:`act` and :func:`is_negative` define the count
@@ -24,10 +24,9 @@ from operator import sub
 
 from .errors import BudgetExceeded, IndexOutOfRange, RankOutOfRange, UnsupportedRadix
 from .group_core import DEFAULT_BUDGET, GroupElement, _decimal, _earlier_smaller, _require_budget
-from .mixed_radix import Value, _decode, _encode, _radix_product, slot_setters
+from .mixed_radix import MixedRadixNumber, Value, _decode, _encode, _radix_product, slot_setters
 
 __all__ = [
-    "InversionTable",
     "QPolynomial",
     "all_roots",
     "delta",
@@ -191,36 +190,17 @@ def _inversions(w: GroupElement) -> list[int]:
     return out
 
 
-class InversionTable(Value):
-    """The vector of i-inversions, most significant (i = 1) first.
-
-    Entry ``i`` is bounded by ``m*(n-i+1) - 1``, which makes the table a
-    valid mixed-radix digit string under ``d_{n-i} = entry_i``.
+def inversion_table(w: GroupElement) -> MixedRadixNumber:
+    """All i-inversions via the closed form, in one pass: the digits of
+    ``rank(w) - 1``, whose ``entries`` list i = 1..n, most significant first.
     """
-
-    __slots__ = ("m", "n", "entries")
-
-    def __init__(self, m: int, n: int, entries: tuple[int, ...]):
-        _set_table_m(self, m)
-        _set_table_n(self, n)
-        _set_entries(self, tuple(entries))
-
-    def __str__(self) -> str:
-        return ":".join(map(str, self.entries))
-
-
-_set_table_m, _set_table_n, _set_entries = slot_setters(InversionTable)
-
-
-def inversion_table(w: GroupElement) -> InversionTable:
-    """All i-inversions via the closed form, in one pass."""
-    entries = _inversions(w)
-    entries.reverse()
-    return InversionTable(w.m, w.n, entries)
+    # the entry at 0-based position p is at most m*(p+1) - 1, its digit bound
+    return MixedRadixNumber._unchecked(w.m, tuple(_inversions(w)))
 
 
 def rank(w: GroupElement) -> int:
-    """1-based position of ``w`` in the inversion-table enumeration."""
+    """1-based position of ``w`` in the inversion-table enumeration:
+    ``decode(inversion_table(w)) + 1``."""
     # in position order, the i-inversion numbers are the digits least significant first
     return _decode(w.m, _inversions(w), 0, w.n) + 1
 

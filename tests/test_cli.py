@@ -22,7 +22,7 @@ from gsg.group_core import (
     parse_window,
 )
 from gsg.mixed_radix import MixedRadixNumber, decode, encode
-from gsg.statistics import InversionTable, _inversions, inversion_table, unrank
+from gsg.statistics import _inversions, inversion_table, unrank
 from gsg.subexceedant import integer_of_element
 from gsg.verify import run_property_checks
 
@@ -245,7 +245,8 @@ def patch_inversion_table(monkeypatch, target, change):
 
     def patched(w):
         t = real(w)
-        return InversionTable(t.m, t.n, change(t.entries)) if w == target else t
+        # unchecked: a changed entry may break its digit bound on purpose
+        return MixedRadixNumber._unchecked(t.m, change(t.entries)[::-1]) if w == target else t
 
     monkeypatch.setattr(gsg.verify, "inversion_table", patched)
 

@@ -232,6 +232,32 @@ def test_inversion_table_bounds():
             assert 0 <= e <= 3 * (3 - i + 1) - 1
 
 
+def assert_table_is_rank_digits(w, r):
+    """``w``'s inversion table is the digit string of ``r - 1``, bounds included."""
+    table = inversion_table(w)
+    assert table == encode_width(r - 1, w.m, w.n)
+    assert table == MixedRadixNumber(w.m, table.digits)  # the checked constructor
+
+
+@pytest.mark.parametrize("m,n", [(1, 5), (2, 4), (3, 3), (4, 3), (3, 4)])
+def test_inversion_table_is_the_digit_string_of_rank_exhaustive(m, n):
+    for w in enumerate_group(m, n):
+        assert_table_is_rank_digits(w, rank(w))
+    for r in range(1, group_order(m, n) + 1):
+        assert inversion_table(unrank(r, m, n)) == encode_width(r - 1, m, n)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 5), st.integers(1, 300), st.data())
+def test_inversion_table_is_the_digit_string_of_rank_property(m, n, data):
+    rnd = data.draw(st.randoms(use_true_random=False))
+    beta = rnd.sample(range(1, n + 1), n)
+    w = GroupElement(m, n, tuple(beta), tuple(rnd.randrange(m) for _ in beta))
+    assert_table_is_rank_digits(w, rank(w))
+    r = rnd.randint(1, group_order(m, n))
+    assert inversion_table(unrank(r, m, n)) == encode_width(r - 1, m, n)
+
+
 def test_rank_examples():
     assert rank(parse_window("[2]3 [1]1 2", 3)) == 27
     assert rank(longest_element(3, 3)) == 162

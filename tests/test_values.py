@@ -1,4 +1,4 @@
-"""The value-class contract shared by the five immutable ``__slots__`` classes.
+"""The value-class contract shared by the four immutable ``__slots__`` classes.
 
 Equality is by class and fields, hashing agrees with equality, fields
 cannot be assigned or deleted, the constructors keep their checks, take
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from gsg.errors import DigitBoundError
 from gsg.group_core import GroupElement, group_order, identity, parse_window
 from gsg.mixed_radix import MixedRadixNumber, encode, encode_width, weights
-from gsg.statistics import InversionTable, QPolynomial
+from gsg.statistics import QPolynomial
 from gsg.subexceedant import SubexceedantFunction
 
 
@@ -36,12 +36,6 @@ def element_fields(draw):
 
 
 @st.composite
-def table_fields(draw):
-    n = draw(st.integers(1, 6))
-    return draw(st.integers(1, 5)), n, tuple(draw(st.integers(0, 30)) for _ in range(n))
-
-
-@st.composite
 def polynomial_fields(draw):
     coeffs = draw(st.lists(st.integers(0, 9), max_size=6))
     return (tuple(coeffs) + (draw(st.integers(1, 9)),),)  # no trailing zero
@@ -56,7 +50,6 @@ def subexceedant_fields(draw):
 FIELDS = {
     MixedRadixNumber: number_fields(),
     GroupElement: element_fields(),
-    InversionTable: table_fields(),
     QPolynomial: polynomial_fields(),
     SubexceedantFunction: subexceedant_fields(),
 }
@@ -122,9 +115,9 @@ def test_copies_and_pickles_are_equal_property(cls, data):
 
 
 def test_repr_names_the_fields():
-    assert repr(GroupElement(2, 2, (2, 1), (0, 1))) == (
-        "GroupElement(m=2, n=2, beta=(2, 1), colors=(0, 1))"
-    )
+    w = GroupElement(2, 2, (2, 1), (0, 1))
+    assert repr(w) == "GroupElement(m=2, n=2, beta=(2, 1), colors=(0, 1))"
+    assert str(w) == w.window()
     assert repr(QPolynomial((1, 2, 0))) == "QPolynomial(coeffs=(1, 2))"
 
 
@@ -211,10 +204,9 @@ def test_codec_parser_and_order_take_integers_only(call, field):
     [
         (lambda: GroupElement(2, 2, [1, 2], [0, 0]), lambda: identity(2, 2)),
         (lambda: SubexceedantFunction([1, 2]), lambda: SubexceedantFunction((1, 2))),
-        (lambda: InversionTable(2, 2, [3, 1]), lambda: InversionTable(2, 2, (3, 1))),
         (lambda: MixedRadixNumber(3, [1, 2]), lambda: MixedRadixNumber(3, (1, 2))),
     ],
-    ids=["GroupElement", "SubexceedantFunction", "InversionTable", "MixedRadixNumber"],
+    ids=["GroupElement", "SubexceedantFunction", "MixedRadixNumber"],
 )
 def test_list_fields_are_stored_as_tuples(from_lists, from_tuples):
     a, b = from_lists(), from_tuples()
