@@ -23,7 +23,7 @@ d = encode_width(x, m, n)
 print(f"{x} in {n} digits:", d)
 
 f = psi_inverse(element_of_digits(d).beta)
-print("subexceedant values:", f)
+print("subexceedant values:", ";".join(map(str, f)))
 print("permutation part:", psi(f))
 
 w = element_of_integer(x, m, n)

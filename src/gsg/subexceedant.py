@@ -11,13 +11,12 @@ and the group.
 
 from __future__ import annotations
 
-from operator import index
+from collections.abc import Sequence
 
 from .group_core import GroupElement
-from .mixed_radix import MixedRadixNumber, Value, _new, decode, encode_width, slot_setters
+from .mixed_radix import MixedRadixNumber, decode, encode_width
 
 __all__ = [
-    "SubexceedantFunction",
     "psi",
     "psi_inverse",
     "element_of_digits",
@@ -27,68 +26,45 @@ __all__ = [
 ]
 
 
-class SubexceedantFunction(Value):
-    """Values ``f(1)..f(n)`` with ``1 <= f(i) <= i``."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: tuple[int, ...]):
-        values = tuple(map(index, values))
-        if len(values) < 1:
-            raise ValueError("need at least one value")
-        for i, v in enumerate(values, start=1):
-            if not 1 <= v <= i:
-                raise ValueError(f"f({i}) = {v} outside 1..{i}")
-        _set_values(self, values)
-
-    @staticmethod
-    def _unchecked(values: tuple[int, ...]) -> "SubexceedantFunction":
-        obj = _new(SubexceedantFunction)
-        _set_values(obj, values)
-        return obj
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    def __str__(self) -> str:
-        return ";".join(str(v) for v in self.values)
-
-
-(_set_values,) = slot_setters(SubexceedantFunction)
-
-
-def psi(f: SubexceedantFunction) -> tuple[int, ...]:
+def psi(f: Sequence[int]) -> tuple[int, ...]:
     """The permutation ``(n f(n)) .. (1 f(1))``, with ``(1 f(1))`` applied first.
 
-    Applying transposition ``(i f(i))`` on the left swaps the values ``i``
-    and ``f(i)`` wherever they sit in the window built so far.
+    ``f`` is the values ``f(1)..f(n)``, any sequence of ints, and the result
+    the window, a tuple.  An empty ``f`` or an ``f(i)`` outside ``1..i``
+    raises ``ValueError``, a float ``TypeError``.  Applying transposition
+    ``(i f(i))`` on the left swaps the values ``i`` and ``f(i)`` wherever
+    they sit in the window built so far.
     """
-    n = f.n
+    n = len(f)
+    if not n:
+        raise ValueError("need at least one value")
     window = list(range(1, n + 1))
     pos = [0] + list(range(n))  # pos[v] = 0-based index of value v; pos[0] unused
-    for i, fi in enumerate(f.values, start=1):
+    for i, fi in enumerate(f, start=1):
+        if not 1 <= fi <= i:
+            raise ValueError(f"f({i}) = {fi} outside 1..{i}")
         pi, pf = pos[i], pos[fi]
         window[pi], window[pf] = window[pf], window[pi]
         pos[i], pos[fi] = pf, pi
     return tuple(window)
 
 
-def psi_inverse(beta: tuple[int, ...]) -> SubexceedantFunction:
-    """Recover ``f`` from a permutation by the fix-point reduction loop.
+def psi_inverse(beta: Sequence[int]) -> tuple[int, ...]:
+    """The tuple ``f`` with ``psi(f) == beta``, for a permutation's window ``beta``.
 
-    Working down from ``i = n``: read off ``f(i)`` as the image of ``i``,
-    then swap that image with the entry currently mapping to ``i``, making
-    ``i`` a fixed point that the next round ignores.
+    The fix-point reduction loop, working down from ``i = n``: read off
+    ``f(i)`` as the image of ``i``, then swap that image with the entry
+    currently mapping to ``i``, making ``i`` a fixed point that the next
+    round ignores.
     """
     n = len(beta)
     if not n or sorted(beta) != list(range(1, n + 1)):
         raise ValueError(f"need a permutation of 1..n with n >= 1, got {tuple(beta)}")
-    return SubexceedantFunction._unchecked(_reduce(beta))
+    return _reduce(beta)
 
 
 def _reduce(beta: tuple[int, ...]) -> tuple[int, ...]:
-    """The values of ``psi_inverse(beta)`` for a permutation ``beta`` already checked."""
+    """``psi_inverse(beta)`` for a permutation ``beta`` already checked."""
     n = len(beta)
     window = list(beta)
     pos = [0] * (n + 1)
@@ -110,9 +86,9 @@ def element_of_digits(d: MixedRadixNumber) -> GroupElement:
     part is the image of ``f`` under the transposition-product bijection.
     """
     m = d.m
-    f = SubexceedantFunction._unchecked(tuple(digit // m + 1 for digit in d.digits))
+    beta = psi(tuple(digit // m + 1 for digit in d.digits))
     colors = tuple(digit % m for digit in d.digits)
-    return GroupElement._unchecked(m, d.n, psi(f), colors)
+    return GroupElement._unchecked(m, d.n, beta, colors)
 
 
 def digits_of_element(w: GroupElement) -> MixedRadixNumber:

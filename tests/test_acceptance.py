@@ -83,7 +83,7 @@ def test_c02_integer_to_element_chain():
         d = encode(2161, 3)
         assert str(d) == "1:1:3:0:1"
         f = psi_inverse(element_of_digits(d).beta)
-        assert f.values == (1, 1, 2, 1, 1)
+        assert f == (1, 1, 2, 1, 1)
         assert psi(f) == (3, 4, 2, 5, 1)
         w = element_of_integer(2161, 3, 5)
         assert w.window() == "[1]3 4 2 [1]5 [1]1"
@@ -220,10 +220,10 @@ def test_c11_radix_mismatch_erratum():
     # radix-4 split gives 17:18:0:9:3:2, and only that string round-trips.
     sigma = parse_window("[2]2 [3]4 [1]3 1 [2]6 [1]5", 4)
     f = psi_inverse(sigma.beta)
-    assert f.values == (1, 1, 3, 1, 5, 5)
+    assert f == (1, 1, 3, 1, 5, 5)
     d = digits_of_element(sigma)
     assert str(d) == "17:18:0:9:3:2"
-    wrong = tuple(3 * (fi - 1) + r for fi, r in zip(f.values, sigma.colors))
+    wrong = tuple(3 * (fi - 1) + r for fi, r in zip(f, sigma.colors))
     assert ":".join(str(x) for x in reversed(wrong)) == "13:14:0:7:3:2"
     assert str(d) != "13:14:0:7:3:2"
     assert element_of_digits(d) == sigma

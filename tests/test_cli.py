@@ -1,6 +1,8 @@
 """CLI integration tests: output formats, round-trips, exit codes."""
 
 import json
+import re
+import shlex
 import sys
 from math import factorial
 from pathlib import Path
@@ -27,6 +29,7 @@ from gsg.subexceedant import integer_of_element
 from gsg.verify import run_property_checks
 
 GOLDEN = Path(__file__).parent / "data" / "table_3_3_golden.csv"
+WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
 
 PANGRAM = "THE QUICK BROWN FOX JUMPS OVER THE LAZY DOG"
 PANGRAM_INT = (
@@ -658,3 +661,14 @@ def test_cli_roundtrips_property(capsys, m, n, data):
         0,
         text + "\n",
     )
+
+
+def test_ci_package_pins_hold_in_process(capsys):
+    # each `test "$(gsg ...)" = '...'` line of the CI package job whose answer
+    # is a quoted literal; answers built with `$` (printf, $passes) are left out
+    pin = re.compile(r"""^\s*test "\$\(gsg (.*)\)" = (["'])([^$]*)\2$""")
+    lines = WORKFLOW.read_text(encoding="utf-8").splitlines()
+    pins = [m.groups() for m in map(pin.match, lines) if m]
+    assert len(pins) >= 11
+    for command, _, expected in pins:
+        assert run(capsys, *shlex.split(command))[:2] == (0, expected + "\n"), command

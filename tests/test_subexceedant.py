@@ -11,7 +11,6 @@ from gsg.group_core import enumerate_group, identity, longest_element, parse_win
 from gsg.mixed_radix import MixedRadixNumber, decode
 from gsg.subexceedant import (
     _reduce,
-    SubexceedantFunction,
     digits_of_element,
     element_of_digits,
     element_of_integer,
@@ -22,8 +21,7 @@ from gsg.subexceedant import (
 
 
 def all_subexceedant(n):
-    for values in itertools.product(*(range(1, i + 1) for i in range(1, n + 1))):
-        yield SubexceedantFunction(values)
+    return itertools.product(*(range(1, i + 1) for i in range(1, n + 1)))
 
 
 def psi_naive(f):
@@ -31,9 +29,9 @@ def psi_naive(f):
     def transpose(a, b):
         return lambda x: b if x == a else a if x == b else x
 
-    maps = [transpose(i, fi) for i, fi in enumerate(f.values, start=1)]
+    maps = [transpose(i, fi) for i, fi in enumerate(f, start=1)]
     out = []
-    for x in range(1, f.n + 1):
+    for x in range(1, len(f) + 1):
         for t in maps:  # index 0 is the rightmost factor
             x = t(x)
         out.append(x)
@@ -41,9 +39,9 @@ def psi_naive(f):
 
 
 def test_psi_examples():
-    assert psi(SubexceedantFunction((1, 1, 2, 1, 1))) == (3, 4, 2, 5, 1)
-    assert psi(SubexceedantFunction((1, 2, 3, 4, 5))) == (1, 2, 3, 4, 5)
-    assert psi(SubexceedantFunction((1, 1))) == (2, 1)
+    assert psi((1, 1, 2, 1, 1)) == (3, 4, 2, 5, 1)
+    assert psi((1, 2, 3, 4, 5)) == (1, 2, 3, 4, 5)
+    assert psi((1, 1)) == (2, 1)
 
 
 def test_psi_against_naive_composition():
@@ -66,23 +64,41 @@ def test_psi_bijection_exhaustive():
 
 
 def test_psi_inverse_examples():
-    assert psi_inverse((2, 4, 3, 1, 6, 5)).values == (1, 1, 3, 1, 5, 5)
-    assert psi_inverse((1, 2, 3, 4)).values == (1, 2, 3, 4)
-    assert psi_inverse((3, 4, 2, 5, 1)).values == (1, 1, 2, 1, 1)
+    assert psi_inverse((2, 4, 3, 1, 6, 5)) == (1, 1, 3, 1, 5, 5)
+    assert psi_inverse((1, 2, 3, 4)) == (1, 2, 3, 4)
+    assert psi_inverse((3, 4, 2, 5, 1)) == (1, 1, 2, 1, 1)
 
 
 def test_subexceedant_validation():
     with pytest.raises(ValueError):
-        SubexceedantFunction((2, 1))
+        psi((2, 1))
     with pytest.raises(ValueError):
-        SubexceedantFunction((1, 3))
+        psi((1, 3))
     with pytest.raises(ValueError):
-        SubexceedantFunction(())
+        psi(())
     with pytest.raises(ValueError):
         psi_inverse((1, 1))
     with pytest.raises(ValueError):
         psi_inverse((2, 3))
-    assert str(SubexceedantFunction((1, 1, 3))) == "1;1;3"
+
+
+def test_psi_takes_any_sequence_of_ints():
+    assert psi([1, 1, 2, 1, 1]) == (3, 4, 2, 5, 1)
+    beta = psi((True, 1))  # a bool acts as an int; the window holds ints only
+    assert beta == (2, 1) and all(type(v) is int for v in beta)
+    with pytest.raises(TypeError):
+        psi((1, 1.0))
+
+
+@given(st.lists(st.integers(0, 8), min_size=1, max_size=7).map(tuple))
+def test_psi_checks_every_value_property(f):
+    bad = [(i, fi) for i, fi in enumerate(f, start=1) if not 1 <= fi <= i]
+    if bad:
+        i, fi = bad[0]
+        with pytest.raises(ValueError, match=rf"^f\({i}\) = {fi} outside 1\.\.{i}$"):
+            psi(f)
+    else:
+        assert psi_inverse(psi(f)) == f
 
 
 def test_element_of_digits_example():
@@ -141,9 +157,7 @@ def test_color_floor_split_reconstitutes_digits():
         d = MixedRadixNumber(6, digits)
         w = element_of_digits(d)
         f = psi_inverse(w.beta)
-        rebuilt = tuple(
-            6 * (fi - 1) + r for fi, r in zip(f.values, w.colors)
-        )
+        rebuilt = tuple(6 * (fi - 1) + r for fi, r in zip(f, w.colors))
         assert rebuilt == digits
 
 
@@ -197,4 +211,4 @@ def test_reduce_matches_swap_oracle_property(beta):
     values = _reduce(beta)
     assert values == reduce_swap_oracle(beta)
     assert psi(psi_inverse(beta)) == beta
-    assert psi_inverse(beta).values == values
+    assert psi_inverse(beta) == values

@@ -1,9 +1,10 @@
-"""The value-class contract shared by the four immutable ``__slots__`` classes.
+"""The value-class contract shared by the three immutable ``__slots__`` classes.
 
 Equality is by class and fields, hashing agrees with equality, fields
 cannot be assigned or deleted, the constructors keep their checks, take
 integers only, and the library's unchecked build path makes objects equal
-to checked ones.
+to checked ones.  The messages of ``psi``'s checks on the subexceedant
+values it is given are pinned here too.
 """
 
 import copy
@@ -17,7 +18,7 @@ from gsg.errors import DigitBoundError
 from gsg.group_core import GroupElement, group_order, identity, parse_window
 from gsg.mixed_radix import MixedRadixNumber, encode, encode_width, weights
 from gsg.statistics import QPolynomial
-from gsg.subexceedant import SubexceedantFunction
+from gsg.subexceedant import psi
 
 
 @st.composite
@@ -41,20 +42,13 @@ def polynomial_fields(draw):
     return (tuple(coeffs) + (draw(st.integers(1, 9)),),)  # no trailing zero
 
 
-@st.composite
-def subexceedant_fields(draw):
-    n = draw(st.integers(1, 7))
-    return (tuple(draw(st.integers(1, i)) for i in range(1, n + 1)),)
-
-
 FIELDS = {
     MixedRadixNumber: number_fields(),
     GroupElement: element_fields(),
     QPolynomial: polynomial_fields(),
-    SubexceedantFunction: subexceedant_fields(),
 }
 CLASSES = list(FIELDS)
-UNCHECKED = [MixedRadixNumber, GroupElement, SubexceedantFunction]
+UNCHECKED = [MixedRadixNumber, GroupElement]
 
 
 def fields_of(obj):
@@ -135,8 +129,9 @@ def test_repr_names_the_fields():
         (lambda: GroupElement(3, 3, (1, 1, 2), (0, 0, 0)), ValueError, "(1, 1, 2) is not a permutation of 1..3"),
         (lambda: GroupElement(3, 3, (1, 2, 3), (0, 0)), ValueError, "one color per position required"),
         (lambda: GroupElement(3, 3, (1, 2, 3), (0, 3, 0)), ValueError, "color 3 outside 0..2"),
-        (lambda: SubexceedantFunction(()), ValueError, "need at least one value"),
-        (lambda: SubexceedantFunction((1, 3)), ValueError, "f(2) = 3 outside 1..2"),
+        # psi checks the subexceedant values it is given
+        (lambda: psi(()), ValueError, "need at least one value"),
+        (lambda: psi((1, 3)), ValueError, "f(2) = 3 outside 1..2"),
     ],
 )
 def test_constructor_checks_keep_their_errors(build, error, message):
@@ -151,9 +146,8 @@ def test_constructor_checks_keep_their_errors(build, error, message):
     [
         lambda: GroupElement(3, 2, (1, 2), (0.5, 0)),
         lambda: MixedRadixNumber(2, (0.5, 1)),
-        lambda: SubexceedantFunction((1, 1.0)),
     ],
-    ids=["GroupElement", "MixedRadixNumber", "SubexceedantFunction"],
+    ids=["GroupElement", "MixedRadixNumber"],
 )
 def test_constructors_reject_non_integers(build):
     # a float color would rank as 1.5, a float digit would decode to 2.5
@@ -171,7 +165,6 @@ def test_constructors_normalise_as_before():
     assert w == identity(2, 2) and w.window() == "1 2"
     assert type(w.beta[0]) is int and type(w.colors[1]) is int
     assert MixedRadixNumber(True, (False, True)).digits == (0, 1)
-    assert type(SubexceedantFunction((True,)).values[0]) is int
 
 
 @pytest.mark.parametrize(
@@ -203,10 +196,9 @@ def test_codec_parser_and_order_take_integers_only(call, field):
     "from_lists, from_tuples",
     [
         (lambda: GroupElement(2, 2, [1, 2], [0, 0]), lambda: identity(2, 2)),
-        (lambda: SubexceedantFunction([1, 2]), lambda: SubexceedantFunction((1, 2))),
         (lambda: MixedRadixNumber(3, [1, 2]), lambda: MixedRadixNumber(3, (1, 2))),
     ],
-    ids=["GroupElement", "SubexceedantFunction", "MixedRadixNumber"],
+    ids=["GroupElement", "MixedRadixNumber"],
 )
 def test_list_fields_are_stored_as_tuples(from_lists, from_tuples):
     a, b = from_lists(), from_tuples()
