@@ -116,7 +116,7 @@ def _cmd_unrank(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    import json  # only the JSON-printing commands pay for it
+    import json  # only `gsg stats` pays for it
 
     w = parse_window(args.window, args.m)
     table = inversion_table(w)
@@ -139,8 +139,6 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    import json
-
     order = _require_budget(args.m, args.n, args.budget)
     elements = (unrank(r, args.m, args.n) for r in range(1, order + 1))
     rows = ((r, w.window(), str(inversion_table(w))) for r, w in enumerate(elements, 1))
@@ -148,10 +146,10 @@ def _cmd_table(args) -> int:
         for r, window, inv in rows:
             print(f"{r},{window},{inv}")
     else:
-        # one row at a time, byte-identical to json.dumps of the whole list
+        # one row at a time, byte-identical to json.dumps of the whole list (nothing to escape)
         sep = "["
         for r, window, inv in rows:
-            print(sep + json.dumps({"rank": r, "window": window, "inv_table": inv}), end="")
+            print(f'{sep}{{"rank": {r}, "window": "{window}", "inv_table": "{inv}"}}', end="")
             sep = ", "
         print("]")
     return EXIT_OK
@@ -162,13 +160,9 @@ def _cmd_poincare(args) -> int:
     return EXIT_OK
 
 
-def run_property_checks(m: int, n: int, budget: int) -> list[tuple[str, bool]]:
-    """:func:`gsg.verify.run_property_checks`, imported when ``gsg verify`` runs."""
-    from .verify import run_property_checks
-    return run_property_checks(m, n, budget)
-
-
 def _cmd_verify(args) -> int:
+    from .verify import run_property_checks  # only `gsg verify` loads the sweep module
+
     results = run_property_checks(args.m, args.n, args.budget)
     for name, ok in results:
         print(f"{'PASS' if ok else 'FAIL'} {name}")

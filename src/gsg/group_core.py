@@ -31,7 +31,7 @@ from .errors import (
     IndexOutOfRange,
     WindowParseError,
 )
-from .mixed_radix import Value, _digit_count, _new, _quote, slot_setters
+from .mixed_radix import Value, _decimal, _digit_count, _echo, _new, _quote, slot_setters
 
 __all__ = [
     "GroupElement",
@@ -70,14 +70,14 @@ class GroupElement(Value):
         m, n = index(m), index(n)
         beta, colors = tuple(map(index, beta)), tuple(map(index, colors))
         if m < 1 or n < 1:
-            raise ValueError(f"need m >= 1 and n >= 1, got ({m}, {n})")
+            raise ValueError(f"need m >= 1 and n >= 1, got ({_decimal(m)}, {_decimal(n)})")
         if sorted(beta) != list(range(1, n + 1)):
-            raise ValueError(f"{beta} is not a permutation of 1..{n}")
+            raise ValueError(f"{_echo(beta)} is not a permutation of 1..{_decimal(n)}")
         if len(colors) != n:
             raise ValueError("one color per position required")
         for r in colors:
             if not 0 <= r <= m - 1:
-                raise ValueError(f"color {r} outside 0..{m - 1}")
+                raise ValueError(f"color {_decimal(r)} outside 0..{_decimal(m - 1)}")
         _set_m(self, m)
         _set_n(self, n)
         _set_beta(self, beta)
@@ -94,7 +94,7 @@ class GroupElement(Value):
         _set_colors(obj, colors)
         return obj
 
-    # field by field: whole-group sweeps compare and hash elements millions of times
+    # field by field: verify compares elements one by one over whole groups
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -105,8 +105,7 @@ class GroupElement(Value):
             and self.n == other.n
         )
 
-    def __hash__(self):
-        return hash((self.m, self.n, self.beta, self.colors))
+    __hash__ = Value.__hash__  # a class that defines __eq__ alone is unhashable
 
     def window(self) -> str:
         """The one-line window text form."""
@@ -127,21 +126,6 @@ def group_order(m: int, n: int) -> int:
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
     return m**n * factorial(n)
-
-
-_DECIMAL_BOUND = 10**4300  # CPython's default int-to-str limit, in decimal digits
-
-
-def _decimal(x: int) -> str:
-    """``x`` in decimal, or its bit length past 4300 digits, or past a lower
-    int-to-str limit where ``str`` raises.  The bound is fixed because the
-    ``gsg`` command lifts the limit while it runs."""
-    if abs(x) < _DECIMAL_BOUND:
-        try:
-            return str(x)
-        except ValueError:
-            pass
-    return f"<{x.bit_length()}-bit number>"
 
 
 def _require_budget(m: int, n: int, budget: int) -> int:
@@ -168,7 +152,8 @@ def multiply(u: GroupElement, v: GroupElement) -> GroupElement:
     m, n = u.m, u.n
     if (m, n) != (v.m, v.n):
         raise DimensionMismatch(
-            f"cannot multiply ({m},{n}) element by ({v.m},{v.n}) element"
+            f"cannot multiply ({_decimal(m)},{_decimal(n)}) element"
+            f" by ({_decimal(v.m)},{_decimal(v.n)}) element"
         )
     ubeta, ucolors = u.beta, u.colors
     beta, colors = [], []
@@ -224,7 +209,7 @@ def power(u: GroupElement, k: int) -> GroupElement:
 def gen_s(m: int, n: int, i: int) -> GroupElement:
     """The color-free adjacent transposition swapping ``i`` and ``i+1``."""
     if not 1 <= i <= n - 1:
-        raise IndexOutOfRange(f"transposition index {i} outside 1..{n - 1}")
+        raise IndexOutOfRange(f"transposition index {_decimal(i)} outside 1..{_decimal(n - 1)}")
     beta = list(range(1, n + 1))
     beta[i - 1], beta[i] = beta[i], beta[i - 1]
     return GroupElement(m, n, tuple(beta), (0,) * n)
@@ -236,7 +221,7 @@ def gen_t(m: int, n: int, i: int) -> GroupElement:
     With m = 1 there are no colors and this is the identity.
     """
     if not 1 <= i <= n:
-        raise IndexOutOfRange(f"color generator index {i} outside 1..{n}")
+        raise IndexOutOfRange(f"color generator index {_decimal(i)} outside 1..{_decimal(n)}")
     colors = [0] * n
     colors[i - 1] = 1 % m
     return GroupElement(m, n, tuple(range(1, n + 1)), tuple(colors))
@@ -245,7 +230,7 @@ def gen_t(m: int, n: int, i: int) -> GroupElement:
 def gen_sigma(m: int, n: int, i: int) -> GroupElement:
     """The i-th flag generator: ``t_1`` for i = 0, else ``s_i .. s_1 t_1``."""
     if not 0 <= i <= n - 1:
-        raise IndexOutOfRange(f"flag generator index {i} outside 0..{n - 1}")
+        raise IndexOutOfRange(f"flag generator index {_decimal(i)} outside 0..{_decimal(n - 1)}")
     w = gen_t(m, n, 1)
     for j in range(1, i + 1):
         w = multiply(gen_s(m, n, j), w)
@@ -305,7 +290,7 @@ def parse_window(text: str, m: int) -> GroupElement:
     """
     m = index(m)
     if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+        raise ValueError(f"need m >= 1, got {_decimal(m)}")
     if not text:
         raise WindowParseError("empty window")
     entries = text.split(" ")
@@ -333,7 +318,7 @@ def parse_window(text: str, m: int) -> GroupElement:
             color = int(color_text)
             if not 1 <= color <= m - 1:
                 raise WindowParseError(
-                    f"entry {pos} ({_quote(entry)}): color {color} outside 1..{m - 1}"
+                    f"entry {pos} ({_quote(entry)}): color {color} outside 1..{_decimal(m - 1)}"
                 )
         if len(value_text) > value_width:
             raise WindowParseError(f"entry {pos}: value of {len(value_text)} digits outside 1..{n}")

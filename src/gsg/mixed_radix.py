@@ -102,7 +102,8 @@ def _digit_count(x: int) -> int:
     return d
 
 
-_QUOTED = 32  # characters of a bad input that an error message repeats
+_QUOTED = 32  # characters of a bad text, or entries of a bad tuple, that a message repeats
+_DECIMAL_BOUND = 10**4300  # CPython's default int-to-str limit, in decimal digits
 
 
 def _quote(text: str) -> str:
@@ -111,6 +112,27 @@ def _quote(text: str) -> str:
     if len(text) <= _QUOTED:
         return repr(text)
     return f"{text[:_QUOTED]!r}... ({len(text)} characters)"
+
+
+def _decimal(x: int) -> str:
+    """``x`` in decimal, or its bit length past 4300 digits, or past a lower
+    int-to-str limit where ``str`` raises.  The bound is fixed because the
+    ``gsg`` command lifts the limit while it runs.  A non-int is ``str(x)``."""
+    if not isinstance(x, int) or abs(x) < _DECIMAL_BOUND:
+        try:
+            return str(x)
+        except ValueError:
+            pass
+    return f"<{x.bit_length()}-bit number>"
+
+
+def _echo(values: tuple) -> str:
+    """``str(values)`` with each int through :func:`_decimal`, or of its first
+    ``_QUOTED`` entries and its length when longer, as :func:`_quote` does."""
+    shown = ", ".join(_decimal(v) if isinstance(v, int) else repr(v) for v in values[:_QUOTED])
+    if len(values) > _QUOTED:
+        return f"({shown}, ...) ({len(values)} entries)"
+    return f"({shown},)" if len(values) == 1 else f"({shown})"
 
 
 class MixedRadixNumber(Value):
@@ -126,7 +148,7 @@ class MixedRadixNumber(Value):
     def __init__(self, m: int, digits: tuple[int, ...]):
         m = index(m)
         if m < 1:
-            raise DigitBoundError(f"radix seed must be >= 1, got {m}")
+            raise DigitBoundError(f"radix seed must be >= 1, got {_decimal(m)}")
         digits = tuple(map(index, digits))
         if len(digits) < 1:
             raise DigitBoundError("a number has at least one digit")
@@ -134,7 +156,8 @@ class MixedRadixNumber(Value):
             bound = m * (i + 1) - 1
             if not 0 <= d <= bound:
                 raise DigitBoundError(
-                    f"digit {d} at position {i} exceeds bound {bound} (m={m})"
+                    f"digit {_decimal(d)} at position {i} exceeds bound {_decimal(bound)}"
+                    f" (m={_decimal(m)})"
                 )
         _set_m(self, m)
         _set_digits(self, digits)
@@ -168,7 +191,7 @@ class MixedRadixNumber(Value):
             if m >= 1 and len(part.lstrip("0")) > width:
                 raise DigitBoundError(
                     f"digit of {len(part)} digits at position {i} exceeds bound"
-                    f" {m * (i + 1) - 1} (m={m})"
+                    f" {_decimal(m * (i + 1) - 1)} (m={_decimal(m)})"
                 )
             digits.append(int(part))
         return cls(m, tuple(reversed(digits)))
@@ -260,7 +283,7 @@ def encode(x: int, m: int) -> MixedRadixNumber:
     """
     x, m = index(x), index(m)
     if m < 1:
-        raise ValueError(f"radix seed must be >= 1, got {m}")
+        raise ValueError(f"radix seed must be >= 1, got {_decimal(m)}")
     return encode_width(x, m, _width(x, m))
 
 
@@ -273,11 +296,11 @@ def encode_width(x: int, m: int, n: int) -> MixedRadixNumber:
     """
     x, m, n = index(x), index(m), index(n)
     if n < 1:
-        raise ValueError(f"width must be >= 1, got {n}")
+        raise ValueError(f"width must be >= 1, got {_decimal(n)}")
     if x < 0:
-        raise ValueError(f"cannot encode negative integer {x}")
+        raise ValueError(f"cannot encode negative integer {_decimal(x)}")
     if m < 1:
-        raise ValueError(f"radix seed must be >= 1, got {m}")
+        raise ValueError(f"radix seed must be >= 1, got {_decimal(m)}")
     digits = [0] * n
     # every radix past the first is at least 2, so x < m**k * k! at
     # k = bit_length + 1 and the positions above k are zero

@@ -23,8 +23,10 @@ from itertools import accumulate, chain, permutations, product, repeat, starmap
 from operator import sub
 
 from .errors import BudgetExceeded, IndexOutOfRange, RankOutOfRange, UnsupportedRadix
-from .group_core import DEFAULT_BUDGET, GroupElement, _decimal, _earlier_smaller, _require_budget
-from .mixed_radix import MixedRadixNumber, Value, _decode, _encode, _radix_product, slot_setters
+from .group_core import DEFAULT_BUDGET, GroupElement, _earlier_smaller, _require_budget
+from .mixed_radix import (
+    MixedRadixNumber, Value, _decimal, _decode, _encode, _radix_product, slot_setters
+)
 
 __all__ = [
     "QPolynomial",
@@ -50,7 +52,7 @@ __all__ = [
 
 def _require_radix(m: int):
     if m < 2:
-        raise UnsupportedRadix(f"root system machinery needs m >= 2, got m={m}")
+        raise UnsupportedRadix(f"root system machinery needs m >= 2, got m={_decimal(m)}")
 
 
 def all_roots(m: int, n: int) -> list[tuple[int, int, int, int]]:
@@ -84,7 +86,7 @@ def delta_block(m: int, n: int, i: int) -> list[tuple[int, int, int, int]]:
     """The block of the simple-side set anchored at coordinate ``n+1-i``."""
     _require_radix(m)
     if not 1 <= i <= n:
-        raise IndexOutOfRange(f"block index {i} outside 1..{n}")
+        raise IndexOutOfRange(f"block index {_decimal(i)} outside 1..{_decimal(n)}")
     p = n + 1 - i
     return [(0, p, k, p) for k in range(1, m)] + [
         (0, p, k, j) for j in range(1, p) for k in range(m)
@@ -164,7 +166,7 @@ def inv_closed(w: GroupElement, i: int) -> int:
     value when that color is nonzero, plus one per earlier larger value.
     """
     if not 1 <= i <= w.n:
-        raise IndexOutOfRange(f"inversion index {i} outside 1..{w.n}")
+        raise IndexOutOfRange(f"inversion index {_decimal(i)} outside 1..{w.n}")
     p = w.n - i  # the p above, 0-based
     b_p, r_p = w.beta[p], w.colors[p]
     smaller = len([b for b in w.beta[:p] if b < b_p])
@@ -300,11 +302,6 @@ class QPolynomial(Value):
         while end and coeffs[end - 1] == 0:
             end -= 1
         _set_coeffs(self, coeffs[:end])
-
-    @classmethod
-    def q_integer(cls, k: int) -> "QPolynomial":
-        """``1 + q + .. + q^(k-1)``."""
-        return cls((1,) * k)
 
     @property
     def degree(self) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .group_core import GroupElement
-from .mixed_radix import MixedRadixNumber, decode, encode_width
+from .mixed_radix import MixedRadixNumber, _decimal, _echo, decode, encode_width
 
 __all__ = [
     "psi",
@@ -42,7 +42,7 @@ def psi(f: Sequence[int]) -> tuple[int, ...]:
     pos = [0] + list(range(n))  # pos[v] = 0-based index of value v; pos[0] unused
     for i, fi in enumerate(f, start=1):
         if not 1 <= fi <= i:
-            raise ValueError(f"f({i}) = {fi} outside 1..{i}")
+            raise ValueError(f"f({i}) = {_decimal(fi)} outside 1..{i}")
         pi, pf = pos[i], pos[fi]
         window[pi], window[pf] = window[pf], window[pi]
         pos[i], pos[fi] = pf, pi
@@ -59,7 +59,7 @@ def psi_inverse(beta: Sequence[int]) -> tuple[int, ...]:
     """
     n = len(beta)
     if not n or sorted(beta) != list(range(1, n + 1)):
-        raise ValueError(f"need a permutation of 1..n with n >= 1, got {tuple(beta)}")
+        raise ValueError(f"need a permutation of 1..n with n >= 1, got {_echo(tuple(beta))}")
     return _reduce(beta)
 
 

@@ -1,8 +1,10 @@
 """CLI integration tests: output formats, round-trips, exit codes."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 from math import factorial
 from pathlib import Path
@@ -29,7 +31,8 @@ from gsg.subexceedant import integer_of_element
 from gsg.verify import run_property_checks
 
 GOLDEN = Path(__file__).parent / "data" / "table_3_3_golden.csv"
-WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+ROOT = Path(__file__).resolve().parent.parent
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 PANGRAM = "THE QUICK BROWN FOX JUMPS OVER THE LAZY DOG"
 PANGRAM_INT = (
@@ -147,10 +150,15 @@ def test_table_json(capsys):
     assert rows[0] == {"rank": 1, "window": "1 2", "inv_table": "0:0"}
 
 
-def test_table_json_streams_the_bytes_of_one_dump(capsys):
-    code, out, _ = run(capsys, "table", "--m", "2", "--n", "3", "--format", "json")
+# G(11,1,1) has two-digit colours, G(1,1,5) none
+JSON_GROUPS = [(2, 3), (1, 5), (11, 1), (5, 2), (3, 3), (2, 4)]
+
+
+@pytest.mark.parametrize("m,n", JSON_GROUPS, ids=[f"G({m},1,{n})" for m, n in JSON_GROUPS])
+def test_table_json_streams_the_bytes_of_one_dump(capsys, m, n):
+    code, out, _ = run(capsys, "table", "--m", str(m), "--n", str(n), "--format", "json")
     assert code == 0
-    ws = [unrank(r, 2, 3) for r in range(1, 49)]
+    ws = [unrank(r, m, n) for r in range(1, group_order(m, n) + 1)]
     rows = [
         {"rank": r, "window": w.window(), "inv_table": str(inversion_table(w))}
         for r, w in enumerate(ws, 1)
@@ -221,7 +229,7 @@ def test_verify_checks_budget_before_any_work(monkeypatch):
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(
-        "gsg.cli.run_property_checks",
+        "gsg.verify.run_property_checks",
         lambda m, n, budget: [("forced", False)],
     )
     code, out, _ = run(capsys, "verify", "--m", "2", "--n", "2")
@@ -672,3 +680,26 @@ def test_ci_package_pins_hold_in_process(capsys):
     assert len(pins) >= 11
     for command, _, expected in pins:
         assert run(capsys, *shlex.split(command))[:2] == (0, expected + "\n"), command
+
+
+def test_ci_package_python_lines_and_exit_codes_hold(capsys):
+    # each `python -c '...'` line of the CI package job, run against src/, and
+    # each `code=0; gsg ... || code=$?` line with the `test "$code" -eq N` after it
+    lines = WORKFLOW.read_text(encoding="utf-8").splitlines()
+    script = re.compile(r"^\s*python -c '([^']*)'$")
+    scripts = [m.group(1) for m in map(script.match, lines) if m]
+    assert len(scripts) >= 4
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for source in scripts:
+        proc = subprocess.run(
+            [sys.executable, "-c", source], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, (source, proc.stderr)
+    command = re.compile(r"^\s*code=0; gsg (.*) \|\| code=\$\?$")
+    expect = re.compile(r'^\s*test "\$code" -eq ([0-9]+)$')
+    commands = [(i, m.group(1)) for i, m in enumerate(map(command.match, lines)) if m]
+    assert len(commands) >= 2
+    for i, argv in commands:
+        code = expect.match(lines[i + 1])
+        assert code, lines[i + 1]
+        assert run(capsys, *shlex.split(argv))[0] == int(code.group(1)), argv

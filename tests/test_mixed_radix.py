@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsg.errors import DigitBoundError
+from gsg.errors import DigitBoundError, IndexOutOfRange
+from gsg.group_core import GroupElement, gen_s
 from gsg.mixed_radix import (
     _LEAF,
     _TREE_NODES,
@@ -18,6 +19,8 @@ from gsg.mixed_radix import (
     encode_width,
     weights,
 )
+from gsg.statistics import delta_block
+from gsg.subexceedant import psi, psi_inverse
 
 
 def division_oracle(x, m):
@@ -291,3 +294,67 @@ def test_bad_codec_arguments_raise_plain_value_error(call, message):
         call()
     assert type(exc.value) is ValueError
     assert str(exc.value) == message
+
+
+BIG = 10**5000  # past CPython's 4300-digit int-to-str limit
+BIG_TEXT = f"<{BIG.bit_length()}-bit number>"
+
+
+@pytest.mark.parametrize(
+    "limit", sorted({0, getattr(sys.int_info, "default_max_str_digits", 0)})
+)
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (
+            lambda: GroupElement(2, 2, (1, BIG), (0, 0)),
+            ValueError,
+            f"(1, {BIG_TEXT}) is not a permutation of 1..2",
+        ),
+        (
+            lambda: GroupElement(2, 3000, tuple(range(2, 3002)), (0,) * 3000),
+            ValueError,
+            f"({', '.join(map(str, range(2, 34)))}, ...) (3000 entries)"
+            " is not a permutation of 1..3000",
+        ),
+        (
+            lambda: MixedRadixNumber(2, (BIG,)),
+            DigitBoundError,
+            f"digit {BIG_TEXT} at position 0 exceeds bound 1 (m=2)",
+        ),
+        (lambda: encode_width(-BIG, 2, 3), ValueError, f"cannot encode negative integer {BIG_TEXT}"),
+        (lambda: gen_s(2, 3, BIG), IndexOutOfRange, f"transposition index {BIG_TEXT} outside 1..2"),
+        (lambda: delta_block(2, 3, BIG), IndexOutOfRange, f"block index {BIG_TEXT} outside 1..3"),
+        (lambda: psi((1, BIG)), ValueError, f"f(2) = {BIG_TEXT} outside 1..2"),
+        (
+            lambda: psi_inverse((1, BIG)),
+            ValueError,
+            f"need a permutation of 1..n with n >= 1, got (1, {BIG_TEXT})",
+        ),
+    ],
+    ids=[
+        "GroupElement",
+        "GroupElement 3000 entries",
+        "MixedRadixNumber",
+        "encode_width",
+        "gen_s",
+        "delta_block",
+        "psi",
+        "psi_inverse",
+    ],
+)
+def test_messages_show_a_huge_number_by_its_bit_length(call, error, message, limit):
+    # at the default limit str() of BIG raises; with none, it would print 5000 digits
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    old = sys.get_int_max_str_digits() if set_limit else None
+    if set_limit:
+        set_limit(limit)
+    try:
+        with pytest.raises(error) as exc:
+            call()
+    finally:
+        if set_limit:
+            set_limit(old)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+    assert len(message) < 200

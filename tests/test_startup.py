@@ -1,5 +1,6 @@
 """What starting a ``gsg`` process costs: the modules ``import gsg.cli`` loads,
-and the bytes of the commands that load ``json`` only when they run."""
+and the bytes the JSON-printing commands print; only ``gsg stats`` loads
+``json``, and only when it runs."""
 
 import os
 import subprocess
@@ -53,6 +54,20 @@ def test_json_commands_print_the_same_bytes():
         b'{"rank": 7, "window": "1 [1]2", "inv_table": "3:0"}, '
         b'{"rank": 8, "window": "[1]1 [1]2", "inv_table": "3:1"}]\n'
     )
+
+
+def test_table_json_loads_no_json():
+    # the JSON table prints f-string rows; only `gsg stats` imports json
+    probe = (
+        "import sys; before = set(sys.modules); import gsg.cli; "
+        "code = gsg.cli.main(['table', '--m', '2', '--n', '2', '--format', 'json']); "
+        "print(code, 'json' in set(sys.modules) - before)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=ENV, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("]\n0 False\n")
 
 
 def test_import_loads_no_typing_without_site():

@@ -64,6 +64,7 @@ def test_equal_iff_same_class_and_fields_property(cls, data):
     assert fields_of(a) == x
     assert (a == b) is (x == y)
     assert (a != b) is (x != y)
+    assert hash(a) == hash(x)  # the hash of the fields, in __slots__ order
     if x == y:
         assert hash(a) == hash(b)
     assert a != x and x != a  # never a plain tuple of its fields
@@ -132,6 +133,7 @@ def test_repr_names_the_fields():
         # psi checks the subexceedant values it is given
         (lambda: psi(()), ValueError, "need at least one value"),
         (lambda: psi((1, 3)), ValueError, "f(2) = 3 outside 1..2"),
+        (lambda: psi((float("inf"),)), ValueError, "f(1) = inf outside 1..1"),
     ],
 )
 def test_constructor_checks_keep_their_errors(build, error, message):
