@@ -17,7 +17,7 @@ from .errors import (
     WindowParseError,
 )
 from .group_core import DEFAULT_BUDGET, _require_budget, canonical_length, parse_window
-from .mixed_radix import MixedRadixNumber, decode, encode
+from .mixed_radix import MixedRadixNumber, _decimal, _quote, decode, encode
 from .statistics import fmaj_exponents, inversion_table, poincare, rank, unrank
 from .subexceedant import digits_of_element, element_of_integer, integer_of_element
 
@@ -32,7 +32,7 @@ def _integer(text: str) -> int:
     """ASCII digits with an optional leading minus (``int`` also takes other
     scripts' digits, ``+``, underscores and surrounding whitespace)."""
     if not re.fullmatch(r"-?[0-9]+", text):
-        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
+        raise argparse.ArgumentTypeError(f"invalid integer: {_quote(text)}")
     return int(text)
 
 
@@ -88,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_convert(args) -> int:
     if args.to_digits is not None:
         if args.to_digits < 0:
-            raise DigitBoundError(f"{args.to_digits} is negative")
+            raise DigitBoundError(f"{_decimal(args.to_digits)} is negative")
         print(encode(args.to_digits, args.m))
     else:
         print(decode(MixedRadixNumber.from_text(args.to_int, args.m)))
@@ -98,7 +98,7 @@ def _cmd_convert(args) -> int:
 def _cmd_element(args) -> int:
     if args.action == "encode":
         if args.x < 0:
-            raise DigitBoundError(f"{args.x} is negative")
+            raise DigitBoundError(f"{_decimal(args.x)} is negative")
         print(element_of_integer(args.x, args.m, args.n).window())
     else:
         print(integer_of_element(parse_window(args.window, args.m)))
@@ -191,10 +191,10 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:  # parse_args leaves through SystemExit, which only the finally sees
         args = _build_parser().parse_args(argv)
-        for field, minimum in (("m", 1), ("n", 1), ("budget", 1)):
+        for field in ("m", "n", "budget"):
             value = getattr(args, field, None)
-            if value is not None and value < minimum:
-                print(f"error: --{field} must be >= {minimum}, got {value}", file=sys.stderr)
+            if value is not None and value < 1:
+                print(f"error: --{field} must be >= 1, got {_decimal(value)}", file=sys.stderr)
                 return EXIT_PARSE
         return args.run(args)
     except (WindowParseError, DigitBoundError) as exc:

@@ -182,27 +182,31 @@ def power(u: GroupElement, k: int) -> GroupElement:
     One walk per cycle of the permutation, O(n) for any ``k``: the entry at
     index ``idx`` of a cycle of length ``ell`` moves ``k mod ell`` steps
     along it and picks up the colors it passes, plus the cycle's color sum
-    once per whole turn (prefix sums over the cycle written out twice).
+    once per whole turn (prefix sums over its colors written out twice).
     """
     m, n = u.m, u.n
+    ubeta, ucolors = u.beta, u.colors
     beta = [0] * n
     colors = [0] * n
     for start in range(n):
         if beta[start]:
             continue
+        q = ubeta[start] - 1
+        if q == start:
+            beta[q], colors[q] = q + 1, ucolors[q] * k % m
+            continue
         cycle = [start]
-        q = u.beta[start] - 1
         while q != start:
             cycle.append(q)
-            q = u.beta[q] - 1
+            q = ubeta[q] - 1
         ell = len(cycle)
         whole, rest = divmod(k, ell)
-        twice = [u.colors[q] for q in cycle * 2]
-        prefix = list(itertools.accumulate(twice, initial=0))
+        ccolors = [ucolors[q] for q in cycle]
+        prefix = list(itertools.accumulate(ccolors + ccolors, initial=0))
         turn = whole * prefix[ell]
-        for idx, q in enumerate(cycle):
-            beta[q] = cycle[(idx + rest) % ell] + 1
-            colors[q] = (turn + prefix[idx + rest] - prefix[idx]) % m
+        for q, target, hi, lo in zip(cycle, cycle[rest:] + cycle[:rest], prefix[rest:], prefix):
+            beta[q] = target + 1
+            colors[q] = (turn + hi - lo) % m
     return GroupElement._unchecked(m, n, tuple(beta), tuple(colors))
 
 

@@ -15,14 +15,14 @@ Conversion is divide and conquer over the product tree of the radices
 ``W(lo, hi)`` the product of the radices at positions ``lo .. hi-1``, digits
 ``[lo, hi)`` decode to ``low + W(lo, mid) * high`` from their two halves, and
 encoding splits ``x`` by ``divmod(x, W(lo, mid))``; ranges of at most
-``_LEAF`` digits (``2*_LEAF`` to decode) run the plain digit loop.  Each
-``W`` is built once, from its halves, and cached by ``(m, lo, hi)``, at most
-``_TREE_NODES`` of them: a width-n tree is about ``2*n/_LEAF`` products,
-about ``log2(n/_LEAF) + 1`` times the size of ``m**n * n!`` in all (15 KB at
-m = 2, n = 2000).  A digit loop costs Theta(n*N) on an N-bit value; the tree
-decodes in O(M(N) log n), with CPython's Karatsuba M(N) = O(N**1.585), and
-encodes by CPython's multi-limb division, quadratic in 3.11 but with a far
-smaller constant.
+``_LEAF`` digits (``2*_LEAF`` to decode) run a digit loop, two positions
+(radices ``r``, ``r + m``) per big-int step.  Each ``W`` is built once, from
+its halves, and cached by ``(m, lo, hi)``, at most ``_TREE_NODES`` of them: a
+width-n tree is about ``2*n/_LEAF`` products, about ``log2(n/_LEAF) + 1``
+times the size of ``m**n * n!`` in all (15 KB at m = 2, n = 2000).  A digit
+loop costs Theta(n*N) on an N-bit value; the tree decodes in O(M(N) log n),
+with CPython's Karatsuba M(N) = O(N**1.585), and encodes by CPython's
+multi-limb division, quadratic in 3.11 but with a far smaller constant.
 """
 
 from __future__ import annotations
@@ -234,8 +234,13 @@ def _encode(x: int, m: int, lo: int, hi: int, out: list[int]) -> int:
     it above position ``hi - 1``, which is zero exactly when it fits.
     """
     if hi - lo <= _LEAF:
-        for i in range(lo + 1, hi + 1):
-            x, out[i - 1] = divmod(x, m * i)
+        if (hi - lo) % 2:
+            x, out[lo] = divmod(x, m * (lo + 1))
+            lo += 1
+        for i in range(lo + 1, hi, 2):  # positions i-1 and i: radices r and r + m
+            r = m * i
+            x, low = divmod(x, r * (r + m))
+            out[i - 1], out[i] = low % r, low // r
         return x
     mid = (lo + hi) // 2
     high, low = divmod(x, _radix_product(m, lo, mid))
@@ -248,8 +253,12 @@ def _decode(m: int, digits: list[int] | tuple[int, ...], lo: int, hi: int) -> in
     # a split pays for its product only once each half is about a leaf wide
     if hi - lo <= 2 * _LEAF:
         x = 0
-        for i in range(hi, lo, -1):
-            x = x * (m * i) + digits[i - 1]
+        if (hi - lo) % 2:
+            hi -= 1
+            x = digits[hi]
+        for i in range(hi - 1, lo, -2):  # positions i-1 and i, as _encode takes them
+            r = m * i
+            x = x * (r * (r + m)) + (digits[i] * r + digits[i - 1])
         return x
     mid = (lo + hi) // 2
     return _decode(m, digits, lo, mid) + _radix_product(m, lo, mid) * _decode(m, digits, mid, hi)

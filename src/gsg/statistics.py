@@ -25,7 +25,7 @@ from operator import sub
 from .errors import BudgetExceeded, IndexOutOfRange, RankOutOfRange, UnsupportedRadix
 from .group_core import DEFAULT_BUDGET, GroupElement, _earlier_smaller, _require_budget
 from .mixed_radix import (
-    MixedRadixNumber, Value, _decimal, _decode, _encode, _radix_product, slot_setters
+    MixedRadixNumber, Value, _decimal, _decode, _encode, _quote, _radix_product, slot_setters
 )
 
 __all__ = [
@@ -400,7 +400,8 @@ def histogram(
     each other position by position, from n down.  Memory is O(n + degree).
     """
     if statistic not in ("inv", "fmaj", "L"):
-        raise ValueError(f"unknown statistic {statistic!r}")
+        shown = _quote(statistic) if isinstance(statistic, str) else _decimal(statistic)
+        raise ValueError(f"unknown statistic {shown}")
     _require_budget(m, n, budget)
     if statistic == "L":
         _require_radix(m)

@@ -31,18 +31,24 @@ def psi(f: Sequence[int]) -> tuple[int, ...]:
 
     ``f`` is the values ``f(1)..f(n)``, any sequence of ints, and the result
     the window, a tuple.  An empty ``f`` or an ``f(i)`` outside ``1..i``
-    raises ``ValueError``, a float ``TypeError``.  Applying transposition
-    ``(i f(i))`` on the left swaps the values ``i`` and ``f(i)`` wherever
-    they sit in the window built so far.
+    raises ``ValueError``, a float ``TypeError``.  The values are checked
+    once, up front; :func:`_swap` then applies each transposition
+    ``(i f(i))`` on the left, swapping the values ``i`` and ``f(i)``.
     """
-    n = len(f)
-    if not n:
+    if not f:
         raise ValueError("need at least one value")
-    window = list(range(1, n + 1))
-    pos = [0] + list(range(n))  # pos[v] = 0-based index of value v; pos[0] unused
     for i, fi in enumerate(f, start=1):
         if not 1 <= fi <= i:
             raise ValueError(f"f({i}) = {_decimal(fi)} outside 1..{i}")
+    return _swap(f)
+
+
+def _swap(f: Sequence[int]) -> tuple[int, ...]:
+    """``psi(f)`` for values already in range."""
+    n = len(f)
+    window = list(range(1, n + 1))
+    pos = [0] + list(range(n))  # pos[v] = 0-based index of value v; pos[0] unused
+    for i, fi in enumerate(f, start=1):
         pi, pf = pos[i], pos[fi]
         window[pi], window[pf] = window[pf], window[pi]
         pos[i], pos[fi] = pf, pi
@@ -82,19 +88,19 @@ def _reduce(beta: tuple[int, ...]) -> tuple[int, ...]:
 def element_of_digits(d: MixedRadixNumber) -> GroupElement:
     """The colored permutation encoded by an n-digit string.
 
-    Digit ``d_{i-1}`` splits as ``m*(f(i)-1) + color_i``; the permutation
-    part is the image of ``f`` under the transposition-product bijection.
+    Digit ``d_{i-1} < m*i`` splits as ``m*(f(i)-1) + color_i``, so ``f(i) <= i``;
+    the permutation part is the image of ``f`` under ``psi``, unchecked.
     """
-    m = d.m
-    beta = psi(tuple(digit // m + 1 for digit in d.digits))
-    colors = tuple(digit % m for digit in d.digits)
-    return GroupElement._unchecked(m, d.n, beta, colors)
+    m, digits = d.m, d.digits
+    beta = _swap([digit // m + 1 for digit in digits])
+    return GroupElement._unchecked(m, d.n, beta, tuple([digit % m for digit in digits]))
 
 
 def digits_of_element(w: GroupElement) -> MixedRadixNumber:
     """Inverse of :func:`element_of_digits`: ``d_{i-1} = m*(f(i)-1) + color_i``."""
-    digits = tuple(w.m * (fi - 1) + r for fi, r in zip(_reduce(w.beta), w.colors))
-    return MixedRadixNumber._unchecked(w.m, digits)
+    m = w.m
+    digits = tuple([m * (fi - 1) + r for fi, r in zip(_reduce(w.beta), w.colors)])
+    return MixedRadixNumber._unchecked(m, digits)
 
 
 def integer_of_element(w: GroupElement) -> int:

@@ -634,6 +634,38 @@ def test_bad_over_long_entry_exits_2_with_a_short_message(capsys, argv, message)
     assert message in err and "characters)" in err and len(err.encode()) < 200
 
 
+NINES = "-" + "9" * 5000  # a negative number past the 4300-digit int-to-str limit
+NINES_TEXT = f"<{(10**5000 - 1).bit_length()}-bit number>"
+
+
+# gsg lifts the int-to-str limit while it runs, so a caller's number would print whole
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("convert", "--m", "2", "--to-digits", NINES), f"{NINES_TEXT} is negative"),
+        (("element", "encode", "--m", "2", "--n", "3", "--", NINES), f"{NINES_TEXT} is negative"),
+        (("element", "encode", "--m", NINES, "--n", "3", "5"), f"--m must be >= 1, got {NINES_TEXT}"),
+        (("element", "encode", "--m", "2", "--n", NINES, "5"), f"--n must be >= 1, got {NINES_TEXT}"),
+        (("table", "--m", "2", "--n", "2", "--budget", NINES), f"--budget must be >= 1, got {NINES_TEXT}"),
+    ],
+    ids=["convert", "element encode", "--m", "--n", "--budget"],
+)
+def test_huge_argument_exits_2_with_its_bit_length(capsys, argv, message):
+    code, out, err = run_at_default_limit(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+    assert len(err.encode()) < 200
+
+
+def test_over_long_non_integer_argument_exits_2_with_a_short_message(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["convert", "--m", "2", "--to-digits", "9" * 5000 + "x"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"invalid integer: {'9' * 32!r}... (5001 characters)" in err
+    assert len(err.encode()) < 300
+
+
 def test_text_encode_past_str_digit_limit(capsys):
     text = (PANGRAM + " ") * 50
     assert len(text) == 2200

@@ -390,6 +390,40 @@ def test_power_matches_square_and_multiply_property(w, k):
     assert power(w, k) == square_and_multiply_power(w, k)
 
 
+@st.composite
+def shaped_elements(draw, max_n=2000):
+    """The identity, an identity permutation with random colors (all fixed
+    points), one n-cycle, or a random element, at n up to ``max_n``."""
+    m = draw(st.integers(1, 7))
+    n = draw(st.integers(1, max_n) | st.sampled_from((1, 2, 3, 8)))
+    rnd = draw(st.randoms(use_true_random=False))
+    shape = draw(st.sampled_from(("identity", "fixed points", "one cycle", "random")))
+    beta = list(range(1, n + 1))
+    if shape == "one cycle":
+        order = rnd.sample(beta, n)
+        for a, b in zip(order, order[1:] + order[:1]):
+            beta[a - 1] = b
+    elif shape == "random":
+        rnd.shuffle(beta)
+    colors = [0 if shape == "identity" else rnd.randrange(m) for _ in range(n)]
+    return GroupElement(m, n, tuple(beta), tuple(colors))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shaped_elements(), st.data())
+def test_power_matches_square_and_multiply_on_shaped_elements_property(w, data):
+    # the length of the cycle through one position, and powers around it
+    q = start = data.draw(st.integers(0, w.n - 1))
+    ell = 0
+    while True:
+        q, ell = w.beta[q] - 1, ell + 1
+        if q == start:
+            break
+    big = 10**18 + data.draw(st.integers(0, 100))
+    k = data.draw(st.sampled_from((0, 1, -1, ell, -ell, ell + 1, -ell - 1, big, -big)))
+    assert power(w, k) == square_and_multiply_power(w, k)
+
+
 def test_parse_window_rejects_radix_zero_with_plain_value_error():
     with pytest.raises(ValueError) as exc:
         parse_window("1", 0)

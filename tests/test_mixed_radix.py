@@ -1,5 +1,6 @@
 """Codec tests: division-chain encoding, weighted decoding, digit bounds."""
 
+import random
 import sys
 from math import factorial
 
@@ -13,6 +14,8 @@ from gsg.mixed_radix import (
     _LEAF,
     _TREE_NODES,
     MixedRadixNumber,
+    _decode,
+    _encode,
     _radix_product,
     decode,
     encode,
@@ -263,6 +266,24 @@ def test_codec_sequence_matches_oracles_property(cases):
         d = encode_width(x, m, n)
         assert d.digits == minimal + (0,) * (n - len(minimal))
         assert decode(d) == horner_oracle(m, d.digits) == x
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_digit_ranges_of_every_length_from_odd_and_even_offsets(m):
+    # the leaves take two positions per step and one alone when the range is
+    # odd: every decode leaf (up to 2*_LEAF wide) and encode leaf (up to _LEAF),
+    # odd and even, starting at odd and even positions
+    rnd = random.Random(m)
+    for lo in (0, 1, 2, 7):
+        for hi in range(lo, lo + 2 * _LEAF + 2):
+            digits = [rnd.randrange(m * (i + 1)) for i in range(hi)]
+            x = 0
+            for i in range(hi, lo, -1):  # the plain digit loop, in units of the weight of lo
+                x = x * (m * i) + digits[i - 1]
+            assert _decode(m, digits, lo, hi) == x
+            out = [None] * hi
+            assert _encode(x + 3 * _radix_product(m, lo, hi), m, lo, hi, out) == 3
+            assert out[lo:] == digits[lo:]
 
 
 def test_radix_tree_cache_stays_bounded():

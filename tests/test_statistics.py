@@ -468,6 +468,34 @@ def test_histogram_rejects_an_unknown_statistic_before_the_budget():
     assert not isinstance(exc.value, BudgetExceeded)
 
 
+@pytest.mark.parametrize(
+    "limit", sorted({0, getattr(sys.int_info, "default_max_str_digits", 0)})
+)
+@pytest.mark.parametrize(
+    "statistic,shown",
+    [
+        ("maj", "'maj'"),
+        (10**5000, "<16610-bit number>"),
+        ("x" * 100_000, f"{'x' * 32!r}... (100000 characters)"),
+        (None, "None"),
+    ],
+    ids=["name", "huge int", "long name", "None"],
+)
+def test_histogram_names_an_unknown_statistic_briefly(statistic, shown, limit):
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    old = sys.get_int_max_str_digits() if set_limit else None
+    if set_limit:
+        set_limit(limit)
+    try:
+        with pytest.raises(ValueError) as exc:
+            histogram(statistic, 2, 2)
+    finally:
+        if set_limit:
+            set_limit(old)
+    assert str(exc.value) == f"unknown statistic {shown}"
+    assert len(str(exc.value)) < 200
+
+
 HISTOGRAM_ARGUMENT_ERRORS = {
     "statistic first": (("maj", 0, 60, 10), ValueError, "unknown statistic 'maj'"),
     "empty group": (("L", 0, 60, 10), ValueError, "need m >= 1 and n >= 1"),

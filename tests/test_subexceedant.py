@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsg.group_core import enumerate_group, identity, longest_element, parse_window
-from gsg.mixed_radix import MixedRadixNumber, decode
+from gsg.group_core import GroupElement, enumerate_group, identity, longest_element, parse_window
+from gsg.mixed_radix import _LEAF, MixedRadixNumber, decode
 from gsg.subexceedant import (
     _reduce,
     digits_of_element,
@@ -212,3 +212,57 @@ def test_reduce_matches_swap_oracle_property(beta):
     assert values == reduce_swap_oracle(beta)
     assert psi(psi_inverse(beta)) == beta
     assert psi_inverse(beta) == values
+
+
+def element_of_integer_chain(x, m, n):
+    """Oracle: digits by the plain division loop, then the checked ``psi``
+    over a generator and the checked element constructor."""
+    digits = []
+    for i in range(1, n + 1):
+        x, d = divmod(x, m * i)
+        digits.append(d)
+    assert x == 0
+    beta = psi(tuple(d // m + 1 for d in digits))
+    return GroupElement(m, n, beta, tuple(d % m for d in digits))
+
+
+def integer_of_element_chain(w):
+    """Oracle: the checked ``psi_inverse``, then the plain digit loop."""
+    m = w.m
+    digits = [m * (fi - 1) + r for fi, r in zip(psi_inverse(w.beta), w.colors)]
+    x = 0
+    for i in range(w.n, 0, -1):
+        x = x * (m * i) + digits[i - 1]
+    return x
+
+
+@pytest.mark.parametrize("m,n", [(1, 5), (2, 4), (3, 3), (4, 3), (5, 2), (7, 3), (6, 1)])
+def test_integer_correspondence_matches_the_chain_on_whole_groups(m, n):
+    order = m**n * factorial(n)
+    for x in range(order):
+        assert element_of_integer(x, m, n) == element_of_integer_chain(x, m, n)
+    for w in enumerate_group(m, n):
+        assert integer_of_element(w) == integer_of_element_chain(w)
+
+
+# widths 1-3 and on both sides of one and two codec leaves
+CHAIN_WIDTHS = st.integers(1, 2000) | st.sampled_from(
+    (1, 2, 3, _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF - 1, 2 * _LEAF, 2 * _LEAF + 1)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), CHAIN_WIDTHS, st.data())
+def test_integer_correspondence_matches_the_chain_property(m, n, data):
+    rnd = data.draw(st.randoms(use_true_random=False))
+    order = m**n * factorial(n)
+    x = data.draw(st.integers(0, order - 1) | st.just(rnd.randrange(order)))
+    w = element_of_integer(x, m, n)
+    assert w == element_of_integer_chain(x, m, n)
+    assert integer_of_element(w) == x
+    v = GroupElement(
+        m, n, tuple(rnd.sample(range(1, n + 1), n)), tuple(rnd.randrange(m) for _ in range(n))
+    )
+    y = integer_of_element(v)
+    assert y == integer_of_element_chain(v)
+    assert element_of_integer(y, m, n) == v
