@@ -36,6 +36,22 @@ def _integer(text: str) -> int:
     return int(text)
 
 
+# an unknown command of _QUOTED (32) characters gives the longest message of a
+# short argument, 176 characters; a cut one stays well under 300 bytes of stderr
+_MESSAGE, _KEPT = 176, 120
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's messages repeat the caller's text: one over ``_MESSAGE``
+    characters keeps its first ``_KEPT`` and its length, as :func:`_quote`
+    cuts text.  Subparsers are built from this class too."""
+
+    def error(self, message):
+        if len(message) > _MESSAGE:
+            message = f"{message[:_KEPT]}... ({len(message)} characters)"
+        super().error(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # each shared option is declared once and reaches a command through parents=
     m, n, budget = (argparse.ArgumentParser(add_help=False) for _ in range(3))
@@ -43,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     n.add_argument("--n", type=_integer, required=True)
     budget.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET)
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gsg",
         description="Integer representations and statistics of m-colored permutations.",
     )

@@ -3,9 +3,13 @@
 The presentation check lists the defining relations of G(m,1,n) on the
 generators s_1..s_{n-1}, t_1..t_n as (lhs, rhs) pairs, each commuting pair
 once, and passes when every pair is equal.  The root checks count, block by
-block, the roots of ``delta_block(m, n, i)`` that an element sends negative:
-"oracle agreement" compares the counts with its :func:`inversion_table`
-entries, and "length additivity" their sum with its :func:`length_L`.  The
+block, the roots of ``delta_block(m, n, i)`` that an element sends negative,
+i = n down to 1: "oracle agreement" compares the counts with its
+:func:`inversion_table` digits, least significant first, and "length
+additivity" their sum with its :func:`length_L`.  At m >= 2 that sum is also
+the ``inv`` value the equidistribution tally counts, so a wrong root count
+moves the tally too; at m = 1, and in the chunks after both root checks have
+failed, the tally sums the closed-form i-inversion numbers instead.  The
 budget is checked once, before any other work.  The per-element checks and
 both equidistribution histograms share one pass over the group, taken in
 chunks of ``_CHUNK`` elements: each check maps its own functions over the
@@ -79,8 +83,9 @@ def run_property_checks(
     inverse_ok = rank_ok = True
     oracle_ok = additive_ok = m >= 2
     if m >= 2:
-        # the blocks partition the simple-side set: their counts sum to the length
-        blocks = [delta_block(m, n, i) for i in range(1, n + 1)]
+        # least significant first, as inversion_table's digits; the blocks
+        # partition the simple-side set, so their counts sum to the length
+        blocks = [delta_block(m, n, i) for i in range(n, 0, -1)]
     inv_counts, fmaj_counts = Counter(), Counter()
     while chunk := list(islice(elements, _CHUNK)):
         if inverse_ok:
@@ -98,9 +103,12 @@ def run_property_checks(
             )
         if oracle_ok or additive_ok:
             rows = list(zip(*(map(_negatives, chunk, repeat(block)) for block in blocks)))
-            oracle_ok = oracle_ok and rows == [t.entries for t in map(inversion_table, chunk)]
-            additive_ok = additive_ok and list(map(length_L, chunk)) == list(map(sum, rows))
-        inv_counts.update(map(sum, map(_inversions, chunk)))
+            oracle_ok = oracle_ok and rows == [t.digits for t in map(inversion_table, chunk)]
+            inv_values = list(map(sum, rows))
+            additive_ok = additive_ok and list(map(length_L, chunk)) == inv_values
+        else:  # m = 1, or both root checks have failed
+            inv_values = map(sum, map(_inversions, chunk))
+        inv_counts.update(inv_values)
         fmaj_counts.update(map(fmaj, chunk))
     expected = {k: c for k, c in enumerate(poincare(m, n).coeffs) if c}
     equidistributed = inv_counts == expected and fmaj_counts == expected

@@ -1,5 +1,6 @@
 """CLI integration tests: output formats, round-trips, exit codes."""
 
+import argparse
 import json
 import os
 import re
@@ -13,6 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import gsg.cli
+import gsg.statistics
 import gsg.verify
 from gsg.cli import main
 from gsg.errors import BudgetExceeded
@@ -371,6 +374,52 @@ def test_verify_enumerates_the_group_once(monkeypatch):
     assert "histogram" not in run_property_checks.__code__.co_names
 
 
+@pytest.mark.parametrize("m,n,most", [(3, 3, 3), (2, 4, 3), (1, 5, 2)])
+def test_verify_makes_few_inversion_passes_per_element(monkeypatch, m, n, most):
+    # rank, inversion_table and length_L make one each; at m >= 2 the inv
+    # tally sums the block root counts, at m = 1 it makes its own
+    real, calls = gsg.statistics._inversions, []
+
+    def counting(w):
+        calls.append(w)
+        return real(w)
+
+    monkeypatch.setattr(gsg.statistics, "_inversions", counting)
+    monkeypatch.setattr(gsg.verify, "_inversions", counting)
+    assert all(ok for _, ok in run_property_checks(m, n))
+    order = group_order(m, n)
+    assert len(calls) <= most * order
+    if m == 1:
+        assert len(calls) == most * order
+
+
+def test_verify_tally_stays_right_after_both_root_checks_fail(monkeypatch):
+    # the first element is wrong in inversion_table and length_L alike: later
+    # chunks build no root counts, and the inv tally sums _inversions there
+    target = next(enumerate_group(3, 3))
+    real_table, real_length = gsg.verify.inversion_table, gsg.verify.length_L
+    assert real_table(target).digits[0] == 0
+    wrong = MixedRadixNumber._unchecked(3, (1,) + real_table(target).digits[1:])
+    monkeypatch.setattr(
+        gsg.verify, "inversion_table", lambda w: wrong if w == target else real_table(w)
+    )
+    monkeypatch.setattr(gsg.verify, "length_L", lambda w: real_length(w) + (w == target))
+    for size in CHUNK_SIZES:
+        monkeypatch.setattr(gsg.verify, "_CHUNK", size)
+        results = dict(run_property_checks(3, 3))
+        assert not results.pop("oracle agreement") and not results.pop("length additivity"), size
+        assert all(results.values()), (size, results)
+
+
+def test_verify_equidistribution_catches_one_wrong_inv_at_m_1(monkeypatch):
+    # rank reads gsg.statistics' _inversions; only the tally reads this name
+    real, target = gsg.verify._inversions, parse_window("3 1 5 2 4", 1)
+    monkeypatch.setattr(
+        gsg.verify, "_inversions", lambda w: [e + (w == target) for e in real(w)]
+    )
+    assert_only_check_fails("equidistribution inv/fmaj/poincare", 1, 5)
+
+
 def test_text_encode(capsys):
     code, out, _ = run(capsys, "text-encode", "--m", "7", PANGRAM)
     assert code == 0
@@ -664,6 +713,51 @@ def test_over_long_non_integer_argument_exits_2_with_a_short_message(capsys):
     assert exc.value.code == 2
     assert f"invalid integer: {'9' * 32!r}... (5001 characters)" in err
     assert len(err.encode()) < 300
+
+
+XS = "x" * 5000
+
+
+# argparse's own errors: an unknown command, an unknown choice and an unknown option
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [XS],
+        ["table", "--m", "2", "--n", "2", "--format", XS],
+        ["convert", "--m", "2", "--to-digits", "5", "--" + XS],
+    ],
+    ids=["command", "choice", "option"],
+)
+def test_over_long_argparse_error_exits_2_with_a_short_message(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "characters)" in err and "Traceback" not in err
+    assert len(err.encode()) < 300
+
+
+# an unknown command of 32 characters gives the longest message of a short argument
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tabel"],
+        ["c" * 32],
+        ["table", "--m", "2", "--n", "2", "--format", "xml"],
+        ["verify", "--m", "2", "--n", "2", "--x"],
+    ],
+)
+def test_short_argparse_error_is_argparse_own(capsys, monkeypatch, argv):
+    def stderr_of(argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        return capsys.readouterr().err
+
+    err = stderr_of(argv)
+    assert "invalid choice" in err or "unrecognized arguments" in err
+    monkeypatch.setattr(gsg.cli._Parser, "error", argparse.ArgumentParser.error)
+    assert err == stderr_of(argv)
 
 
 def test_text_encode_past_str_digit_limit(capsys):

@@ -410,15 +410,20 @@ def test_poincare_budget_message_past_the_str_digit_limit():
     not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
 )
 def test_unrank_range_message_past_the_str_digit_limit():
-    # the order of G(2,1,2000) has over 6000 decimal digits
-    order = group_order(2, 2000)
+    # the order of G(2,1,2000) has over 6000 decimal digits; n = 65 is past
+    # the codec's 64-digit leaf, so the encode's tree decides the range there
+    shown = lambda x: str(x) if abs(x) < 10**4300 else f"<{x.bit_length()}-bit number>"
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
-        for r in (0, order + 1):
-            with pytest.raises(RankOutOfRange) as exc:
-                unrank(r, 2, 2000)
-            assert str(exc.value).endswith(f"outside 1..<{order.bit_length()}-bit number>")
+        for m, n in itertools.product((1, 2, 5), (1, 2, 65, 2000)):
+            order = group_order(m, n)
+            for r in (0, -1, order + 1, order + 10**30):
+                with pytest.raises(RankOutOfRange) as exc:
+                    unrank(r, m, n)
+                assert str(exc.value) == f"rank {shown(r)} outside 1..{shown(order)}"
+            # the two ends themselves are in range
+            assert rank(unrank(order, m, n)) == order and unrank(1, m, n) == identity(m, n)
     finally:
         sys.set_int_max_str_digits(limit)
 
