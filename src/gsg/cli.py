@@ -17,7 +17,7 @@ from .errors import (
     WindowParseError,
 )
 from .group_core import DEFAULT_BUDGET, _require_budget, canonical_length, parse_window
-from .mixed_radix import MixedRadixNumber, _decimal, _quote, decode, encode
+from .mixed_radix import _QUOTED, MixedRadixNumber, _decimal, _quote, decode, encode
 from .statistics import fmaj_exponents, inversion_table, poincare, rank, unrank
 from .subexceedant import digits_of_element, element_of_integer, integer_of_element
 
@@ -36,20 +36,19 @@ def _integer(text: str) -> int:
     return int(text)
 
 
-# an unknown command of _QUOTED (32) characters gives the longest message of a
-# short argument, 176 characters; a cut one stays well under 300 bytes of stderr
-_MESSAGE, _KEPT = 176, 120
-
-
 class _Parser(argparse.ArgumentParser):
-    """argparse's messages repeat the caller's text: one over ``_MESSAGE``
-    characters keeps its first ``_KEPT`` and its length, as :func:`_quote`
-    cuts text.  Subparsers are built from this class too."""
+    """argparse's messages repeat the caller's text: each run of it longer
+    than ``_QUOTED`` characters shows as its length, ``<5000 characters>``,
+    and the rest of the message, such as the list of choices, is kept.
+    Subparsers are built from this class too."""
 
     def error(self, message):
-        if len(message) > _MESSAGE:
-            message = f"{message[:_KEPT]}... ({len(message)} characters)"
-        super().error(message)
+        super().error(re.sub(_LONG_RUN, lambda run: f"<{len(run[1])} characters>", message))
+
+
+# with the quotes argparse put round it; _quote's form would leave no room in
+# 300 bytes of stderr for the usage and the list of commands
+_LONG_RUN = rf"'?([^\s']{{{_QUOTED + 1},}})'?"
 
 
 def _build_parser() -> argparse.ArgumentParser:

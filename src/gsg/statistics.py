@@ -215,15 +215,15 @@ def unrank(r: int, m: int, n: int) -> GroupElement:
     ascending by value: a digit ``d`` below the count ``k`` of remaining
     values picks the d-th largest with color 0, otherwise ``divmod(d - k,
     m - 1)`` gives the index among the remaining values in ascending order
-    and the color minus 1.  O(n^2) in all.  ``r`` is in range exactly when
-    ``r - 1`` fits in n digits, which the encode's overflow decides; the
-    group order is built only for the error message.
+    and the color minus 1.  O(n^2) in all.
     """
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
+    order = _radix_product(m, 0, n)
+    if not 1 <= r <= order:
+        raise RankOutOfRange(f"rank {_decimal(r)} outside 1..{_decimal(order)}")
     digits = [0] * n
-    if r < 1 or _encode(r - 1, m, 0, n, digits):  # nonzero: r - 1 needs more digits
-        raise RankOutOfRange(f"rank {_decimal(r)} outside 1..{_decimal(_radix_product(m, 0, n))}")
+    _encode(r - 1, m, 0, n, digits)
     remaining = list(range(1, n + 1))
     beta = [0] * n
     colors = [0] * n

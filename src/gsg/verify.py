@@ -8,14 +8,14 @@ i = n down to 1: "oracle agreement" compares the counts with its
 :func:`inversion_table` digits, least significant first, and "length
 additivity" their sum with its :func:`length_L`.  At m >= 2 that sum is also
 the ``inv`` value the equidistribution tally counts, so a wrong root count
-moves the tally too; at m = 1, and in the chunks after both root checks have
-failed, the tally sums the closed-form i-inversion numbers instead.  The
-budget is checked once, before any other work.  The per-element checks and
-both equidistribution histograms share one pass over the group, taken in
-chunks of ``_CHUNK`` elements: each check maps its own functions over the
-whole chunk before the next check starts, so a fault fails one check alone,
-and a failed check skips the chunks after it.  Memory is bounded by one
-chunk of elements and the lists built from it.
+moves the tally too; at m = 1 the tally sums the closed-form i-inversion
+numbers instead.  The budget is checked once, before any other work.  The
+per-element checks and both equidistribution histograms share one pass over
+the group, taken in chunks of ``_CHUNK`` elements: each check maps its own
+functions over the whole chunk before the next check starts, so a fault
+fails one check alone, and a failed check skips its comparisons in the
+chunks after it (the root counts are still built, for the tally).  Memory is
+bounded by one chunk of elements and the lists built from it.
 """
 
 from __future__ import annotations
@@ -101,12 +101,12 @@ def run_property_checks(
                 and max(ranks) <= order
                 and list(map(unrank, ranks, repeat(m), repeat(n))) == chunk
             )
-        if oracle_ok or additive_ok:
+        if m >= 2:
             rows = list(zip(*(map(_negatives, chunk, repeat(block)) for block in blocks)))
             oracle_ok = oracle_ok and rows == [t.digits for t in map(inversion_table, chunk)]
             inv_values = list(map(sum, rows))
             additive_ok = additive_ok and list(map(length_L, chunk)) == inv_values
-        else:  # m = 1, or both root checks have failed
+        else:
             inv_values = map(sum, map(_inversions, chunk))
         inv_counts.update(inv_values)
         fmaj_counts.update(map(fmaj, chunk))

@@ -394,8 +394,8 @@ def test_verify_makes_few_inversion_passes_per_element(monkeypatch, m, n, most):
 
 
 def test_verify_tally_stays_right_after_both_root_checks_fail(monkeypatch):
-    # the first element is wrong in inversion_table and length_L alike: later
-    # chunks build no root counts, and the inv tally sums _inversions there
+    # the first element is wrong in inversion_table and length_L alike; the
+    # inv tally reads the block root counts, which stay right in every chunk
     target = next(enumerate_group(3, 3))
     real_table, real_length = gsg.verify.inversion_table, gsg.verify.length_L
     assert real_table(target).digits[0] == 0
@@ -733,11 +733,14 @@ def test_over_long_argparse_error_exits_2_with_a_short_message(capsys, argv):
         main(argv)
     out, err = capsys.readouterr()
     assert (exc.value.code, out) == (2, "")
-    assert "characters)" in err and "Traceback" not in err
+    assert f"<{len(argv[-1])} characters>" in err and "Traceback" not in err
     assert len(err.encode()) < 300
+    # argparse's own text after the caller's is kept
+    assert ("(choose from 'csv', 'json')" in err) == ("--format" in argv)
+    assert ("'text-encode')" in err) == (argv == [XS])
 
 
-# an unknown command of 32 characters gives the longest message of a short argument
+# a run of 32 characters, _QUOTED, is the longest that a message keeps whole
 @pytest.mark.parametrize(
     "argv",
     [

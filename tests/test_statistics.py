@@ -411,7 +411,7 @@ def test_poincare_budget_message_past_the_str_digit_limit():
 )
 def test_unrank_range_message_past_the_str_digit_limit():
     # the order of G(2,1,2000) has over 6000 decimal digits; n = 65 is past
-    # the codec's 64-digit leaf, so the encode's tree decides the range there
+    # the codec's 64-digit leaf
     shown = lambda x: str(x) if abs(x) < 10**4300 else f"<{x.bit_length()}-bit number>"
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
