@@ -40,7 +40,16 @@ class _Parser(argparse.ArgumentParser):
     """argparse's messages repeat the caller's text: each run of it longer
     than ``_QUOTED`` characters shows as its length, ``<5000 characters>``,
     and the rest of the message, such as the list of choices, is kept.
-    Subparsers are built from this class too."""
+    Unrecognized arguments show as the first ``_EXTRAS`` and their count, as
+    ``_echo`` shows a long tuple.  Subparsers are built from this class too."""
+
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:  # argparse's own check, with the list cut short
+            shown = (e if len(e) <= _QUOTED else f"<{len(e)} characters>" for e in extras[:_EXTRAS])
+            more = f" ... ({len(extras)} arguments)" if len(extras) > _EXTRAS else ""
+            self.error(f"unrecognized arguments: {' '.join(shown)}{more}")
+        return args
 
     def error(self, message):
         super().error(re.sub(_LONG_RUN, lambda run: f"<{len(run[1])} characters>", message))
@@ -49,6 +58,9 @@ class _Parser(argparse.ArgumentParser):
 # with the quotes argparse put round it; _quote's form would leave no room in
 # 300 bytes of stderr for the usage and the list of commands
 _LONG_RUN = rf"'?([^\s']{{{_QUOTED + 1},}})'?"
+# three entries of up to _QUOTED characters, and their count, fit in 300 bytes
+# of stderr with the usage
+_EXTRAS = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -266,8 +266,19 @@ def fmaj_exponents(w: GroupElement) -> list[int]:
 
 
 def fmaj(w: GroupElement) -> int:
-    """The flag-major index: sum of the flag-generator exponents."""
-    return sum(fmaj_exponents(w))
+    """The flag-major index, the sum of :func:`fmaj_exponents`, in Adin and
+    Roichman's closed form ``m * maj + sum(colors)``: maj sums the positions
+    p whose key ``value - color*(n+1)`` (the order of ``(-color, value)``)
+    exceeds the next one.  One pass, no bisect and no walk."""
+    shift = w.n + 1
+    maj = prev = p = 0
+    for b, c in zip(w.beta, w.colors):
+        key = b - c * shift
+        if prev > key:  # a descent at p; at p = 0 it adds nothing
+            maj += p
+        prev = key
+        p += 1
+    return w.m * maj + sum(w.colors)
 
 
 def phi(w: GroupElement) -> GroupElement:
@@ -371,16 +382,21 @@ def _inversion_terms(m: int, n: int):
 
 
 def _flag_terms(m: int, n: int):
-    """``beta -> (base, rows)`` with ``fmaj(w) == base + sum(map(getitem,
+    """``(major, rows)`` with ``fmaj(w) == major(beta) + sum(map(getitem,
     rows, peeled))`` for each w with permutation ``beta``, where the
     exponents of :func:`fmaj_exponents` are ``peeled[p-1]*p + r_p``.
 
-    ``base`` sums the ``r_p``: at color 0 they are the flag exponents of
-    ``beta`` alone, whose sum is its major index, the sum of its descent
+    ``major(beta)`` sums the ``r_p``: at color 0 they are the flag exponents
+    of ``beta`` alone, whose sum is its major index, the sum of its descent
     positions.  ``rows[p-1] = (0, p, .., (m-1)*p)`` for every permutation.
     """
     rows = [tuple(range(0, m * p, p)) for p in range(1, n + 1)]
-    return lambda beta: (sum(p for p in range(1, n) if beta[p - 1] > beta[p]), rows)
+    return (lambda beta: sum(p for p in range(1, n) if beta[p - 1] > beta[p])), rows
+
+
+def _dense(counts: Counter) -> QPolynomial:
+    """The polynomial whose coefficient ``k`` is ``counts[k]``."""
+    return QPolynomial(tuple(counts[k] for k in range(max(counts) + 1)))
 
 
 def histogram(
@@ -391,13 +407,13 @@ def histogram(
 
     ``inv`` and ``L`` both sum the closed-form i-inversion numbers, but
     ``L`` needs m >= 2; :func:`length_L_oracle` is the root count.  The
-    sweep builds no element.  Once per permutation it takes the part of the
-    value that the permutation fixes (for ``inv`` and ``L`` from the counts
-    of earlier smaller values, for ``fmaj`` its major index); then it
-    streams the permutation's m^n colorings from ``itertools.product``,
-    adding one color term per position.  ``fmaj`` streams the peeled colors
-    instead: for a fixed permutation, colors and peeled colors determine
-    each other position by position, from n down.  Memory is O(n + degree).
+    sweep builds no element.  ``inv`` and ``L`` take, once per permutation,
+    the part of the value that its counts of earlier smaller values fix,
+    then stream its m^n colorings from ``itertools.product``, adding one
+    color term per position.  ``fmaj`` is a product of two counts: the major
+    index over the n! permutations, times the rows of :func:`_flag_terms`
+    over their m^n tuples, since each permutation's colors and peeled colors
+    determine each other.  Memory is O(n + degree).
     """
     if statistic not in ("inv", "fmaj", "L"):
         shown = _quote(statistic) if isinstance(statistic, str) else _decimal(statistic)
@@ -405,8 +421,9 @@ def histogram(
     _require_budget(m, n, budget)
     if statistic == "L":
         _require_radix(m)
-    terms = _flag_terms if statistic == "fmaj" else _inversion_terms
-    counts = Counter(
-        chain.from_iterable(starmap(_values, map(terms(m, n), permutations(range(1, n + 1)))))
-    )
-    return QPolynomial(tuple(counts[k] for k in range(max(counts) + 1)))
+    perms = permutations(range(1, n + 1))
+    if statistic == "fmaj":
+        major, rows = _flag_terms(m, n)
+        return _dense(Counter(map(major, perms))) * _dense(Counter(map(sum, product(*rows))))
+    values = starmap(_values, map(_inversion_terms(m, n), perms))
+    return _dense(Counter(chain.from_iterable(values)))

@@ -748,6 +748,7 @@ def test_over_long_argparse_error_exits_2_with_a_short_message(capsys, argv):
         ["c" * 32],
         ["table", "--m", "2", "--n", "2", "--format", "xml"],
         ["verify", "--m", "2", "--n", "2", "--x"],
+        ["verify", "--m", "2", "--n", "2", "x", "y", "c" * 32],
     ],
 )
 def test_short_argparse_error_is_argparse_own(capsys, monkeypatch, argv):
@@ -761,6 +762,25 @@ def test_short_argparse_error_is_argparse_own(capsys, monkeypatch, argv):
     assert "invalid choice" in err or "unrecognized arguments" in err
     monkeypatch.setattr(gsg.cli._Parser, "error", argparse.ArgumentParser.error)
     assert err == stderr_of(argv)
+
+
+# many short unknown arguments, many of the longest kept whole, and one long one with quotes
+@pytest.mark.parametrize(
+    "extras,shown",
+    [
+        (["x"] * 2500, "x x x ... (2500 arguments)"),
+        (["c" * 32] * 100, " ".join(["c" * 32] * 3) + " ... (100 arguments)"),
+        (["x'" * 2500], "<5000 characters>"),
+    ],
+    ids=["short", "longest kept", "quoted"],
+)
+def test_many_unrecognized_arguments_exit_2_with_a_short_message(capsys, extras, shown):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--m", "2", "--n", "2", *extras])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith(f"gsg: error: unrecognized arguments: {shown}\n")
+    assert len(err.encode()) < 300
 
 
 def test_text_encode_past_str_digit_limit(capsys):

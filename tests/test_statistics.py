@@ -4,6 +4,7 @@ import itertools
 import random
 import sys
 import time
+from collections import Counter
 from math import factorial
 from operator import getitem
 
@@ -547,6 +548,30 @@ def test_fmaj_sweep_runs_no_bisect_pass_and_no_walk(monkeypatch, m, n):
     assert histogram("fmaj", m, n) == poincare(m, n)
 
 
+@pytest.mark.parametrize("m,n", [(1, 6), (2, 4), (3, 3), (4, 3)])
+def test_fmaj_sweep_draws_each_peeled_coloring_once(monkeypatch, m, n):
+    # the major index and the peeled colors are counted apart: m^n tuples, not n! * m^n
+    drawn = 0
+
+    def counted_product(*rows):
+        nonlocal drawn
+        for t in itertools.product(*rows):
+            drawn += 1
+            yield t
+
+    monkeypatch.setattr(gsg.statistics, "product", counted_product)
+    assert histogram("fmaj", m, n) == poincare(m, n)
+    assert drawn == m**n
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 5)])
+def test_fmaj_histogram_counts_each_element_exhaustive(m, n):
+    # counted element by element, so the product form is checked against fmaj
+    # itself, not through the theorem that both equal poincare
+    counts = Counter(map(fmaj, enumerate_group(m, n)))
+    assert histogram("fmaj", m, n).coeffs == tuple(counts[k] for k in range(max(counts) + 1))
+
+
 def peeled_colors(w):
     """The color c of each flag-generator exponent ``c*p + r_p``, with ``r_p < p``."""
     return tuple(e // p for p, e in enumerate(fmaj_exponents(w), start=1))
@@ -555,7 +580,7 @@ def peeled_colors(w):
 @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 5)])
 def test_sweep_values_match_each_element_exhaustive(m, n):
     # histogram == poincare cannot see two values swapped between elements; this can
-    inv_terms, flag_terms = _inversion_terms(m, n), _flag_terms(m, n)
+    inv_terms, (major, flag_rows) = _inversion_terms(m, n), _flag_terms(m, n)
     colorings = list(itertools.product(range(m), repeat=n))
     for beta in itertools.permutations(range(1, n + 1)):
         group = [GroupElement(m, n, beta, colors) for colors in colorings]
@@ -565,12 +590,12 @@ def test_sweep_values_match_each_element_exhaustive(m, n):
         for w in group:
             assert base + sum(map(getitem, rows, w.colors)) == sum(_inversions(w))
         # fmaj: one value per element, in the order of its peeled colors
-        base, rows = flag_terms(beta)
         by_peeled = {peeled_colors(w): w for w in group}
         assert sorted(by_peeled) == colorings
-        assert list(_values(base, rows)) == [fmaj(by_peeled[c]) for c in colorings]
+        assert list(_values(major(beta), flag_rows)) == [fmaj(by_peeled[c]) for c in colorings]
         for c, w in by_peeled.items():
-            assert base + sum(map(getitem, rows, c)) == fmaj(w) == adin_roichman_fmaj(w)
+            value = major(beta) + sum(map(getitem, flag_rows, c))
+            assert value == fmaj(w) == adin_roichman_fmaj(w) == sum(fmaj_exponents(w))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -747,14 +772,27 @@ def test_fmaj_matches_adin_roichman_property(w):
     assert fmaj(w) == adin_roichman_fmaj(w)
 
 
+# fmaj is the closed form, so the flag walk is the independent form it is checked against
+@pytest.mark.parametrize("m,n", [(1, 5), (2, 4), (3, 4), (4, 3), (3, 5)])
+def test_fmaj_closed_form_matches_flag_walk_exhaustive(m, n):
+    for w in enumerate_group(m, n):
+        assert fmaj(w) == sum(fmaj_exponents(w))
+
+
+@settings(deadline=None)
+@given(large_elements())
+def test_fmaj_closed_form_matches_flag_walk_property(w):
+    assert fmaj(w) == sum(fmaj_exponents(w))
+
+
 @given(elements())
 def test_sweep_terms_give_each_element_its_values_property(w):
     base, rows = _inversion_terms(w.m, w.n)(w.beta)
     assert base + sum(map(getitem, rows, w.colors)) == sum(_inversions(w))
     peeled = peeled_colors(w)
     assert all(0 <= c < w.m for c in peeled)
-    base, rows = _flag_terms(w.m, w.n)(w.beta)
-    assert base + sum(map(getitem, rows, peeled)) == fmaj(w) == adin_roichman_fmaj(w)
+    major, rows = _flag_terms(w.m, w.n)
+    assert major(w.beta) + sum(map(getitem, rows, peeled)) == fmaj(w) == adin_roichman_fmaj(w)
 
 
 @settings(deadline=None)
