@@ -37,9 +37,10 @@ def _integer(text: str) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's messages repeat the caller's text: each run of it longer
-    than ``_QUOTED`` characters shows as its length, ``<5000 characters>``,
-    and the rest of the message, such as the list of choices, is kept.
+    """argparse's messages repeat the caller's text: an invalid choice, and
+    each other run of it, longer than ``_QUOTED`` characters shows as its
+    length, ``<5000 characters>``, and the rest of the message, such as the
+    list of choices, is kept.
     Unrecognized arguments show as the first ``_EXTRAS`` and their count, as
     ``_echo`` shows a long tuple.  Subparsers are built from this class too."""
 
@@ -52,12 +53,21 @@ class _Parser(argparse.ArgumentParser):
         return args
 
     def error(self, message):
+        from ast import literal_eval  # only a bad command line pays for it
+
+        def choice(value):  # a str's repr, which may hold spaces and quotes
+            text = literal_eval(value[0])
+            return value[0] if len(text) <= _QUOTED else f"<{len(text)} characters>"
+
+        message = re.sub(_CHOICE, choice, message)
         super().error(re.sub(_LONG_RUN, lambda run: f"<{len(run[1])} characters>", message))
 
 
 # with the quotes argparse put round it; _quote's form would leave no room in
 # 300 bytes of stderr for the usage and the list of commands
 _LONG_RUN = rf"'?([^\s']{{{_QUOTED + 1},}})'?"
+# argparse shows an invalid choice as its repr, whatever spaces or quotes it holds
+_CHOICE = r"""(?<=invalid choice: )('(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")"""
 # three entries of up to _QUOTED characters, and their count, fit in 300 bytes
 # of stderr with the usage
 _EXTRAS = 3

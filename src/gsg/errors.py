@@ -29,10 +29,6 @@ class IndexOutOfRange(GsgError, IndexError):
     """A generator or inversion index is outside its valid range."""
 
 
-class UnsupportedRadix(GsgError, ValueError):
-    """The root system machinery requires m >= 2."""
-
-
 class RankOutOfRange(GsgError, ValueError):
     """A rank is outside [1, m^n * n!]."""
 

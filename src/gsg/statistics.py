@@ -22,7 +22,7 @@ from collections import Counter
 from itertools import accumulate, chain, permutations, product, repeat, starmap
 from operator import sub
 
-from .errors import BudgetExceeded, IndexOutOfRange, RankOutOfRange, UnsupportedRadix
+from .errors import BudgetExceeded, IndexOutOfRange, RankOutOfRange
 from .group_core import DEFAULT_BUDGET, GroupElement, _earlier_smaller, _require_budget
 from .mixed_radix import (
     MixedRadixNumber, Value, _decimal, _decode, _encode, _quote, _radix_product, slot_setters
@@ -50,14 +50,8 @@ __all__ = [
 ]
 
 
-def _require_radix(m: int):
-    if m < 2:
-        raise UnsupportedRadix(f"root system machinery needs m >= 2, got m={_decimal(m)}")
-
-
 def all_roots(m: int, n: int) -> list[tuple[int, int, int, int]]:
     """Every formal difference of two distinct colored basis vectors."""
-    _require_radix(m)
     vectors = [(a, j) for j in range(1, n + 1) for a in range(m)]
     return [
         (a, j, b, l)
@@ -71,8 +65,8 @@ def delta(m: int, n: int) -> list[tuple[int, int, int, int]]:
     """The simple-side set: ``e_j`` minus any colored ``e_l`` with ``l <= j``.
 
     The degenerate color-0 same-index term is excluded (it is not a root).
+    At m = 1 this is the symmetric group's type-A set, ``l < j`` only.
     """
-    _require_radix(m)
     return [
         (0, j, k, l)
         for j in range(1, n + 1)
@@ -84,7 +78,6 @@ def delta(m: int, n: int) -> list[tuple[int, int, int, int]]:
 
 def delta_block(m: int, n: int, i: int) -> list[tuple[int, int, int, int]]:
     """The block of the simple-side set anchored at coordinate ``n+1-i``."""
-    _require_radix(m)
     if not 1 <= i <= n:
         raise IndexOutOfRange(f"block index {_decimal(i)} outside 1..{_decimal(n)}")
     p = n + 1 - i
@@ -125,9 +118,8 @@ def length_L(w: GroupElement) -> int:
     """The root-theoretic length, as the sum of the i-inversion numbers.
 
     Length additivity makes this equal to :func:`length_L_oracle`, which
-    counts the roots.  Needs m >= 2, like the root system it measures.
+    counts the roots.
     """
-    _require_radix(w.m)
     return sum(_inversions(w))
 
 
@@ -160,7 +152,7 @@ def inv_oracle(w: GroupElement, i: int) -> int:
 
 
 def inv_closed(w: GroupElement, i: int) -> int:
-    """i-inversions in closed form, no root system needed (m = 1 allowed).
+    """i-inversions in closed form, no root system needed.
 
     At position ``p = n+1-i``: the color there, plus m per earlier smaller
     value when that color is nonzero, plus one per earlier larger value.
@@ -405,8 +397,8 @@ def histogram(
     """Coefficient ``c_k`` counts the elements whose ``statistic`` (``"inv"``,
     ``"fmaj"`` or ``"L"``) has value ``k``.
 
-    ``inv`` and ``L`` both sum the closed-form i-inversion numbers, but
-    ``L`` needs m >= 2; :func:`length_L_oracle` is the root count.  The
+    ``inv`` and ``L`` both sum the closed-form i-inversion numbers;
+    :func:`length_L_oracle` is the root count.  The
     sweep builds no element.  ``inv`` and ``L`` take, once per permutation,
     the part of the value that its counts of earlier smaller values fix,
     then stream its m^n colorings from ``itertools.product``, adding one
@@ -419,8 +411,6 @@ def histogram(
         shown = _quote(statistic) if isinstance(statistic, str) else _decimal(statistic)
         raise ValueError(f"unknown statistic {shown}")
     _require_budget(m, n, budget)
-    if statistic == "L":
-        _require_radix(m)
     perms = permutations(range(1, n + 1))
     if statistic == "fmaj":
         major, rows = _flag_terms(m, n)

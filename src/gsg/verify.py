@@ -6,10 +6,9 @@ once, and passes when every pair is equal.  The root checks count, block by
 block, the roots of ``delta_block(m, n, i)`` that an element sends negative,
 i = n down to 1: "oracle agreement" compares the counts with its
 :func:`inversion_table` digits, least significant first, and "length
-additivity" their sum with its :func:`length_L`.  At m >= 2 that sum is also
-the ``inv`` value the equidistribution tally counts, so a wrong root count
-moves the tally too; at m = 1 the tally sums the closed-form i-inversion
-numbers instead.  The budget is checked once, before any other work.  The
+additivity" their sum with its :func:`length_L`.  That sum is also the
+``inv`` value the equidistribution tally counts, so a wrong root count moves
+the tally too.  The budget is checked once, before any other work.  The
 per-element checks and both equidistribution histograms share one pass over
 the group, taken in chunks of ``_CHUNK`` elements: each check maps its own
 functions over the whole chunk before the next check starts, so a fault
@@ -36,7 +35,6 @@ from .group_core import (
     power,
 )
 from .statistics import (
-    _inversions,
     _negatives,
     delta_block,
     fmaj,
@@ -72,20 +70,14 @@ def _check_presentation(m: int, n: int) -> bool:
 def run_property_checks(
     m: int, n: int, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[str, bool]]:
-    """Run the invariant sweep over the whole group; (name, passed) pairs.
-
-    The root checks (:func:`inversion_table` against the block counts,
-    :func:`length_L` against their sum) need m >= 2 and are skipped for m = 1.
-    """
+    """Run the invariant sweep over the whole group; (name, passed) pairs."""
     elements = enumerate_group(m, n, budget)  # checks the budget before any work
     e = identity(m, n)
     order = group_order(m, n)
-    inverse_ok = rank_ok = True
-    oracle_ok = additive_ok = m >= 2
-    if m >= 2:
-        # least significant first, as inversion_table's digits; the blocks
-        # partition the simple-side set, so their counts sum to the length
-        blocks = [delta_block(m, n, i) for i in range(n, 0, -1)]
+    inverse_ok = rank_ok = oracle_ok = additive_ok = True
+    # least significant first, as inversion_table's digits; the blocks
+    # partition the simple-side set, so their counts sum to the length
+    blocks = [delta_block(m, n, i) for i in range(n, 0, -1)]
     inv_counts, fmaj_counts = Counter(), Counter()
     while chunk := list(islice(elements, _CHUNK)):
         if inverse_ok:
@@ -101,24 +93,19 @@ def run_property_checks(
                 and max(ranks) <= order
                 and list(map(unrank, ranks, repeat(m), repeat(n))) == chunk
             )
-        if m >= 2:
-            rows = list(zip(*(map(_negatives, chunk, repeat(block)) for block in blocks)))
-            oracle_ok = oracle_ok and rows == [t.digits for t in map(inversion_table, chunk)]
-            inv_values = list(map(sum, rows))
-            additive_ok = additive_ok and list(map(length_L, chunk)) == inv_values
-        else:
-            inv_values = map(sum, map(_inversions, chunk))
+        rows = list(zip(*(map(_negatives, chunk, repeat(block)) for block in blocks)))
+        oracle_ok = oracle_ok and rows == [t.digits for t in map(inversion_table, chunk)]
+        inv_values = list(map(sum, rows))
+        additive_ok = additive_ok and list(map(length_L, chunk)) == inv_values
         inv_counts.update(inv_values)
         fmaj_counts.update(map(fmaj, chunk))
     expected = {k: c for k, c in enumerate(poincare(m, n).coeffs) if c}
     equidistributed = inv_counts == expected and fmaj_counts == expected
-    results = [
+    return [
         ("presentation relations", _check_presentation(m, n)),
+        ("oracle agreement", oracle_ok),
         ("inverse law", inverse_ok),
         ("rank bijection", rank_ok),
         ("equidistribution inv/fmaj/poincare", equidistributed),
+        ("length additivity", additive_ok),
     ]
-    if m >= 2:
-        results.insert(1, ("oracle agreement", oracle_ok))
-        results.append(("length additivity", additive_ok))
-    return results

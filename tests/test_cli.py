@@ -206,13 +206,8 @@ PASS equidistribution inv/fmaj/poincare
 PASS length additivity
 """
 
-# with m = 1 there are no roots, so no root-count checks
-VERIFY_1_4 = """\
-PASS presentation relations
-PASS inverse law
-PASS rank bijection
-PASS equidistribution inv/fmaj/poincare
-"""
+# at m = 1 the roots are the symmetric group's type-A set: the same six checks
+VERIFY_1_4 = VERIFY_3_3
 
 
 @pytest.mark.parametrize("m,n,expected", [(3, 3, VERIFY_3_3), (1, 4, VERIFY_1_4)])
@@ -265,24 +260,35 @@ def patch_inversion_table(monkeypatch, target, change):
     monkeypatch.setattr(gsg.verify, "inversion_table", patched)
 
 
-def test_verify_oracle_agreement_catches_one_wrong_inversion_number(monkeypatch):
-    target = parse_window("[2]3 [1]1 2", 3)
-    patch_inversion_table(monkeypatch, target, lambda e: (e[0] + 1,) + e[1:])
-    assert_only_check_fails("oracle agreement")
+# the root checks run at every m; at m = 1 the roots are the type-A set
+ROOT_CHECK_TARGETS = [(3, 3, "[2]3 [1]1 2"), (1, 5, "3 1 5 2 4")]
 
 
-def test_verify_oracle_agreement_catches_a_reordered_inversion_table(monkeypatch):
-    # (1, 2, 2) becomes (2, 2, 1): the same sum, so only the entry-by-entry check sees it
-    target = parse_window("[2]3 [1]1 2", 3)
-    assert inversion_table(target).entries == (1, 2, 2)
-    patch_inversion_table(monkeypatch, target, lambda e: e[::-1])
-    assert_only_check_fails("oracle agreement")
+def test_verify_oracle_agreement_catches_one_wrong_inversion_number():
+    for m, n, window in ROOT_CHECK_TARGETS:
+        with pytest.MonkeyPatch.context() as patch:
+            target = parse_window(window, m)
+            patch_inversion_table(patch, target, lambda e: (e[0] + 1,) + e[1:])
+            assert_only_check_fails("oracle agreement", m, n)
 
 
-def test_verify_length_additivity_catches_one_wrong_length(monkeypatch):
-    real, target = gsg.verify.length_L, parse_window("[2]3 [1]1 2", 3)
-    monkeypatch.setattr(gsg.verify, "length_L", lambda w: real(w) + (w == target))
-    assert_only_check_fails("length additivity")
+def test_verify_oracle_agreement_catches_a_reordered_inversion_table():
+    # reversed, the entries keep their sum, so only the entry-by-entry check sees it
+    for (m, n, window), entries in zip(ROOT_CHECK_TARGETS, [(1, 2, 2), (1, 2, 0, 1, 0)]):
+        with pytest.MonkeyPatch.context() as patch:
+            target = parse_window(window, m)
+            assert inversion_table(target).entries == entries
+            patch_inversion_table(patch, target, lambda e: e[::-1])
+            assert_only_check_fails("oracle agreement", m, n)
+
+
+def test_verify_length_additivity_catches_one_wrong_length():
+    real = gsg.verify.length_L
+    for m, n, window in ROOT_CHECK_TARGETS:
+        with pytest.MonkeyPatch.context() as patch:
+            target = parse_window(window, m)
+            patch.setattr(gsg.verify, "length_L", lambda w: real(w) + (w == target))
+            assert_only_check_fails("length additivity", m, n)
 
 
 def test_verify_inverse_law_catches_one_wrong_inverse(monkeypatch):
@@ -374,10 +380,10 @@ def test_verify_enumerates_the_group_once(monkeypatch):
     assert "histogram" not in run_property_checks.__code__.co_names
 
 
-@pytest.mark.parametrize("m,n,most", [(3, 3, 3), (2, 4, 3), (1, 5, 2)])
-def test_verify_makes_few_inversion_passes_per_element(monkeypatch, m, n, most):
-    # rank, inversion_table and length_L make one each; at m >= 2 the inv
-    # tally sums the block root counts, at m = 1 it makes its own
+@pytest.mark.parametrize("m,n,passes", [(3, 3, 3), (2, 4, 3), (1, 5, 3)])
+def test_verify_makes_few_inversion_passes_per_element(monkeypatch, m, n, passes):
+    # rank, inversion_table and length_L make one each; the inv tally sums
+    # the block root counts
     real, calls = gsg.statistics._inversions, []
 
     def counting(w):
@@ -385,12 +391,8 @@ def test_verify_makes_few_inversion_passes_per_element(monkeypatch, m, n, most):
         return real(w)
 
     monkeypatch.setattr(gsg.statistics, "_inversions", counting)
-    monkeypatch.setattr(gsg.verify, "_inversions", counting)
     assert all(ok for _, ok in run_property_checks(m, n))
-    order = group_order(m, n)
-    assert len(calls) <= most * order
-    if m == 1:
-        assert len(calls) == most * order
+    assert len(calls) == passes * group_order(m, n)
 
 
 def test_verify_tally_stays_right_after_both_root_checks_fail(monkeypatch):
@@ -409,15 +411,6 @@ def test_verify_tally_stays_right_after_both_root_checks_fail(monkeypatch):
         results = dict(run_property_checks(3, 3))
         assert not results.pop("oracle agreement") and not results.pop("length additivity"), size
         assert all(results.values()), (size, results)
-
-
-def test_verify_equidistribution_catches_one_wrong_inv_at_m_1(monkeypatch):
-    # rank reads gsg.statistics' _inversions; only the tally reads this name
-    real, target = gsg.verify._inversions, parse_window("3 1 5 2 4", 1)
-    monkeypatch.setattr(
-        gsg.verify, "_inversions", lambda w: [e + (w == target) for e in real(w)]
-    )
-    assert_only_check_fails("equidistribution inv/fmaj/poincare", 1, 5)
 
 
 def test_text_encode(capsys):
@@ -716,6 +709,8 @@ def test_over_long_non_integer_argument_exits_2_with_a_short_message(capsys):
 
 
 XS = "x" * 5000
+# argparse quotes a choice that holds a quote or a space in double quotes
+QUOTED, SPACED = "x'" * 2500, "x" + " z" * 2500
 
 
 # argparse's own errors: an unknown command, an unknown choice and an unknown option
@@ -725,8 +720,11 @@ XS = "x" * 5000
         [XS],
         ["table", "--m", "2", "--n", "2", "--format", XS],
         ["convert", "--m", "2", "--to-digits", "5", "--" + XS],
+        [QUOTED],
+        [SPACED],
+        ["table", "--m", "2", "--n", "2", "--format", QUOTED],
     ],
-    ids=["command", "choice", "option"],
+    ids=["command", "choice", "option", "quoted command", "spaced command", "quoted choice"],
 )
 def test_over_long_argparse_error_exits_2_with_a_short_message(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -737,7 +735,7 @@ def test_over_long_argparse_error_exits_2_with_a_short_message(capsys, argv):
     assert len(err.encode()) < 300
     # argparse's own text after the caller's is kept
     assert ("(choose from 'csv', 'json')" in err) == ("--format" in argv)
-    assert ("'text-encode')" in err) == (argv == [XS])
+    assert ("'text-encode')" in err) == (len(argv) == 1)
 
 
 # a run of 32 characters, _QUOTED, is the longest that a message keeps whole
@@ -749,6 +747,8 @@ def test_over_long_argparse_error_exits_2_with_a_short_message(capsys, argv):
         ["table", "--m", "2", "--n", "2", "--format", "xml"],
         ["verify", "--m", "2", "--n", "2", "--x"],
         ["verify", "--m", "2", "--n", "2", "x", "y", "c" * 32],
+        ["x'" * 16],
+        ["table", "--m", "2", "--n", "2", "--format", "a'b \"c\\"],
     ],
 )
 def test_short_argparse_error_is_argparse_own(capsys, monkeypatch, argv):

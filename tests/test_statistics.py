@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsg.errors import BudgetExceeded, IndexOutOfRange, RankOutOfRange, UnsupportedRadix
+from gsg.errors import BudgetExceeded, IndexOutOfRange, RankOutOfRange
 from gsg.group_core import (
     GroupElement,
     canonical_length,
@@ -82,7 +82,7 @@ def negated(r):
     return b, l, a, j
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_root_count_identities(m, n):
     roots, d = all_roots(m, n), delta(m, n)
@@ -117,17 +117,15 @@ def test_example_block_sizes():
     assert [len(delta_block(2, 2, i)) for i in (1, 2)] == [3, 1]
 
 
-def test_radix_one_rejected():
-    with pytest.raises(UnsupportedRadix):
-        all_roots(1, 3)
-    with pytest.raises(UnsupportedRadix):
-        delta(1, 3)
-    with pytest.raises(UnsupportedRadix):
-        length_L(identity(1, 3))
-    with pytest.raises(UnsupportedRadix):
-        length_L_oracle(identity(1, 3))
-    with pytest.raises(UnsupportedRadix):
-        inv_oracle(identity(1, 3), 1)
+def test_root_machinery_answers_at_radix_one():
+    # at m = 1 the roots are the symmetric group's type-A set e_j - e_l
+    assert sorted(all_roots(1, 3)) == [(0, j, 0, l) for j in (1, 2, 3) for l in (1, 2, 3) if j != l]
+    assert delta(1, 3) == [(0, 2, 0, 1), (0, 3, 0, 1), (0, 3, 0, 2)]
+    for w in enumerate_group(1, 4):
+        inversions = _inversions(w)
+        assert length_L(w) == length_L_oracle(w) == sum(inversions)
+        for i in range(1, 5):
+            assert inv_oracle(w, i) == inv_closed(w, i) == inversions[4 - i]
 
 
 def test_is_negative_examples():
@@ -169,7 +167,7 @@ def test_inversion_examples():
             inv_oracle(w, i)
 
 
-@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("m,n", [(1, 4), (1, 5), (2, 2), (2, 3), (3, 2), (3, 3)])
 def test_oracle_matches_closed_form_exhaustive(m, n):
     for w in enumerate_group(m, n):
         for i in range(1, n + 1):
@@ -177,7 +175,7 @@ def test_oracle_matches_closed_form_exhaustive(m, n):
         assert sum(inversion_table(w).entries) == length_L(w)
 
 
-@pytest.mark.parametrize("m,n", [(2, 4), (3, 3)])
+@pytest.mark.parametrize("m,n", [(1, 5), (2, 4), (3, 3)])
 def test_length_closed_form_matches_root_count_exhaustive(m, n):
     for w in enumerate_group(m, n):
         assert length_L(w) == length_L_oracle(w)
@@ -197,7 +195,7 @@ def assert_tuple_counter_matches_roots(w):
         assert _negatives(w, block) == root_count(w, block)
 
 
-@pytest.mark.parametrize("m,n", [(2, 4), (3, 3), (4, 3)])
+@pytest.mark.parametrize("m,n", [(1, 4), (1, 5), (2, 4), (3, 3), (4, 3)])
 def test_tuple_root_counter_matches_root_classifier_exhaustive(m, n):
     # one root at a time too: a block count cannot see a color taken from the wrong index
     roots = all_roots(m, n)
@@ -207,7 +205,7 @@ def test_tuple_root_counter_matches_root_classifier_exhaustive(m, n):
             assert _negatives(w, [t]) == is_negative(act(w, t))
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_blocks_partition_delta(m, n):
     # verify sums the block counts in place of counting the simple-side set again
@@ -464,8 +462,8 @@ def test_equidistribution(m, n):
 
 
 def test_histogram_radix_one():
-    assert histogram("inv", 1, 3) == poincare(1, 3)
-    assert histogram("fmaj", 1, 3) == poincare(1, 3)
+    for statistic in ("inv", "fmaj", "L"):
+        assert histogram(statistic, 1, 3) == poincare(1, 3)
 
 
 def test_histogram_rejects_an_unknown_statistic_before_the_budget():
@@ -506,7 +504,6 @@ HISTOGRAM_ARGUMENT_ERRORS = {
     "statistic first": (("maj", 0, 60, 10), ValueError, "unknown statistic 'maj'"),
     "empty group": (("L", 0, 60, 10), ValueError, "need m >= 1 and n >= 1"),
     "budget": (("L", 1, 60, 10), BudgetExceeded, "order of G(1,1,60) exceeds budget 10"),
-    "radix": (("L", 1, 3, 10**6), UnsupportedRadix, "root system machinery needs m >= 2, got m=1"),
 }
 
 
@@ -601,7 +598,7 @@ def test_sweep_values_match_each_element_exhaustive(m, n):
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_groups_of_one_position(m):
     # G(m,1,1) is the cyclic group of the m colors of the single value 1
-    for statistic in ("inv", "fmaj") + (("L",) if m >= 2 else ()):
+    for statistic in ("inv", "fmaj", "L"):
         assert histogram(statistic, m, 1) == poincare(m, 1)
     assert all(ok for _, ok in run_property_checks(m, 1))
     assert len(set(enumerate_group(m, 1))) == m
@@ -634,12 +631,12 @@ def test_unrank_inverts_rank_property(w):
     assert unrank(rank(w), w.m, w.n) == w
 
 
-@given(elements(min_m=2, max_m=5, max_n=12))
+@given(elements(min_m=1, max_m=5, max_n=12))
 def test_length_closed_form_matches_root_count_property(w):
     assert length_L(w) == length_L_oracle(w)
 
 
-@given(elements(min_m=2, max_m=6, max_n=10))
+@given(elements(min_m=1, max_m=6, max_n=10))
 def test_tuple_root_counter_matches_root_classifier_property(w):
     assert_tuple_counter_matches_roots(w)
 
