@@ -37,37 +37,36 @@ def _integer(text: str) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's messages repeat the caller's text: an invalid choice, and
-    each other run of it, longer than ``_QUOTED`` characters shows as its
-    length, ``<5000 characters>``, and the rest of the message, such as the
-    list of choices, is kept.
-    Unrecognized arguments show as the first ``_EXTRAS`` and their count, as
-    ``_echo`` shows a long tuple.  Subparsers are built from this class too."""
+    """argparse's messages repeat the caller's text, bare or as its repr: an
+    argument, the text after its first ``=`` or a short option's value.  Each
+    such piece longer than ``_QUOTED`` characters shows as its length,
+    ``<5000 characters>``, and the rest of the message is kept.  Unrecognized
+    arguments show as the first ``_EXTRAS`` and their count, as ``_echo``
+    shows a long tuple.  Subparsers are built from this class too."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._args = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
 
     def parse_args(self, args=None, namespace=None):
         args, extras = self.parse_known_args(args, namespace)
         if extras:  # argparse's own check, with the list cut short
-            shown = (e if len(e) <= _QUOTED else f"<{len(e)} characters>" for e in extras[:_EXTRAS])
             more = f" ... ({len(extras)} arguments)" if len(extras) > _EXTRAS else ""
-            self.error(f"unrecognized arguments: {' '.join(shown)}{more}")
+            self.error(f"unrecognized arguments: {' '.join(extras[:_EXTRAS])}{more}")
         return args
 
     def error(self, message):
-        from ast import literal_eval  # only a bad command line pays for it
+        pieces = (p for a in self._args for p in (a, a.partition("=")[2], a[2:]))
+        # _quote's form would leave no room in 300 bytes of stderr for the
+        # usage and the list of commands; the longest piece goes first, as
+        # the others may lie inside it
+        for piece in sorted(pieces, key=len, reverse=True):
+            if len(piece) > _QUOTED:
+                short = f"<{len(piece)} characters>"
+                message = message.replace(repr(piece), short).replace(piece, short)
+        super().error(message)
 
-        def choice(value):  # a str's repr, which may hold spaces and quotes
-            text = literal_eval(value[0])
-            return value[0] if len(text) <= _QUOTED else f"<{len(text)} characters>"
 
-        message = re.sub(_CHOICE, choice, message)
-        super().error(re.sub(_LONG_RUN, lambda run: f"<{len(run[1])} characters>", message))
-
-
-# with the quotes argparse put round it; _quote's form would leave no room in
-# 300 bytes of stderr for the usage and the list of commands
-_LONG_RUN = rf"'?([^\s']{{{_QUOTED + 1},}})'?"
-# argparse shows an invalid choice as its repr, whatever spaces or quotes it holds
-_CHOICE = r"""(?<=invalid choice: )('(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")"""
 # three entries of up to _QUOTED characters, and their count, fit in 300 bytes
 # of stderr with the usage
 _EXTRAS = 3

@@ -713,28 +713,49 @@ XS = "x" * 5000
 QUOTED, SPACED = "x'" * 2500, "x" + " z" * 2500
 
 
-# argparse's own errors: an unknown command, an unknown choice and an unknown option
+# argparse's own errors: an unknown command, an unknown choice, an unknown,
+# ambiguous or misused option; each with the piece of the caller's text that
+# argparse repeats, the whole argument or the text after "=" or after "-h"
 @pytest.mark.parametrize(
-    "argv",
+    "argv,repeated",
     [
-        [XS],
-        ["table", "--m", "2", "--n", "2", "--format", XS],
-        ["convert", "--m", "2", "--to-digits", "5", "--" + XS],
-        [QUOTED],
-        [SPACED],
-        ["table", "--m", "2", "--n", "2", "--format", QUOTED],
+        ([XS], XS),
+        (["table", "--m", "2", "--n", "2", "--format", XS], XS),
+        (["convert", "--m", "2", "--to-digits", "5", "--" + XS], "--" + XS),
+        ([QUOTED], QUOTED),
+        ([SPACED], SPACED),
+        (["table", "--m", "2", "--n", "2", "--format", QUOTED], QUOTED),
+        (["table", "--m", "2", "--n", "2", "--format=" + XS], XS),
+        (["table", "--m", "2", "--n", "2", "--format=" + SPACED], SPACED),
+        (["stats", "--m", "2", "-h" + XS], XS),
+        (["stats", "--m", "2", "--bfs=" + XS, "1"], XS),
+        (["convert", "--m", "2", "--to=" + SPACED], "--to=" + SPACED),
+        (["stats", "--m", "2", "--bfs=" + SPACED, "1"], SPACED),
     ],
-    ids=["command", "choice", "option", "quoted command", "spaced command", "quoted choice"],
+    ids=[
+        "command",
+        "choice",
+        "option",
+        "quoted command",
+        "spaced command",
+        "quoted choice",
+        "= choice",
+        "= spaced choice",
+        "short option value",
+        "= flag value",
+        "= spaced ambiguous option",
+        "= spaced flag value",
+    ],
 )
-def test_over_long_argparse_error_exits_2_with_a_short_message(capsys, argv):
+def test_over_long_argparse_error_exits_2_with_a_short_message(capsys, argv, repeated):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     out, err = capsys.readouterr()
     assert (exc.value.code, out) == (2, "")
-    assert f"<{len(argv[-1])} characters>" in err and "Traceback" not in err
+    assert f"<{len(repeated)} characters>" in err and "Traceback" not in err
     assert len(err.encode()) < 300
     # argparse's own text after the caller's is kept
-    assert ("(choose from 'csv', 'json')" in err) == ("--format" in argv)
+    assert ("(choose from 'csv', 'json')" in err) == ("table" in argv)
     assert ("'text-encode')" in err) == (len(argv) == 1)
 
 
@@ -745,6 +766,7 @@ def test_over_long_argparse_error_exits_2_with_a_short_message(capsys, argv):
         ["tabel"],
         ["c" * 32],
         ["table", "--m", "2", "--n", "2", "--format", "xml"],
+        ["table", "--m", "2", "--n", "2", "--format=xml"],
         ["verify", "--m", "2", "--n", "2", "--x"],
         ["verify", "--m", "2", "--n", "2", "x", "y", "c" * 32],
         ["x'" * 16],
