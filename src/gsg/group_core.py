@@ -71,7 +71,7 @@ class GroupElement(Value):
         beta, colors = tuple(map(index, beta)), tuple(map(index, colors))
         if m < 1 or n < 1:
             raise ValueError(f"need m >= 1 and n >= 1, got ({_decimal(m)}, {_decimal(n)})")
-        if sorted(beta) != list(range(1, n + 1)):
+        if len(beta) != n or sorted(beta) != list(range(1, n + 1)):
             raise ValueError(f"{_echo(beta)} is not a permutation of 1..{_decimal(n)}")
         if len(colors) != n:
             raise ValueError("one color per position required")

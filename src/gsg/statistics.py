@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from itertools import accumulate, chain, permutations, product, repeat, starmap
+from itertools import accumulate, permutations, product
 from operator import sub
 
 from .errors import BudgetExceeded, IndexOutOfRange, RankOutOfRange
@@ -350,29 +350,6 @@ def poincare(m: int, n: int, budget: int = DEFAULT_BUDGET) -> QPolynomial:
     return QPolynomial(tuple(coeffs))
 
 
-def _values(base: int, rows: list[tuple[int, ...]]):
-    """``base`` plus one entry of each row, over ``product(*rows)``: for one
-    permutation's rows, its elements' values in the order of their colors."""
-    return map(sum, product(*rows), repeat(base))
-
-
-def _inversion_terms(m: int, n: int):
-    """``beta -> (base, rows)`` with ``sum(_inversions(w)) == base +
-    sum(map(getitem, rows, colors))`` for each ``w = (beta, colors)``.
-
-    The i-inversion numbers regrouped: ``base = n(n-1)/2 - sum(s_p)``, and a
-    color c > 0 at position p adds ``c + m*s_p``; one row per value of s_p.
-    """
-    weights = [(0, *range(m * s + 1, m * s + m)) for s in range(n)]
-    top = n * (n - 1) // 2
-
-    def terms(beta):
-        below = _earlier_smaller(beta)
-        return top - sum(below), [weights[s] for s in below]
-
-    return terms
-
-
 def _flag_terms(m: int, n: int):
     """``(major, rows)`` with ``fmaj(w) == major(beta) + sum(map(getitem,
     rows, peeled))`` for each w with permutation ``beta``, where the
@@ -398,11 +375,12 @@ def histogram(
     ``"fmaj"`` or ``"L"``) has value ``k``.
 
     ``inv`` and ``L`` both sum the closed-form i-inversion numbers;
-    :func:`length_L_oracle` is the root count.  The
-    sweep builds no element.  ``inv`` and ``L`` take, once per permutation,
-    the part of the value that its counts of earlier smaller values fix,
-    then stream its m^n colorings from ``itertools.product``, adding one
-    color term per position.  ``fmaj`` is a product of two counts: the major
+    :func:`length_L_oracle` is the root count.  No element is built.  The
+    number at 0-based position p is ``p - s`` plus, at a color c > 0,
+    ``c + m*s``, where s in 0..p counts the earlier smaller values; a
+    permutation is one-to-one with its counts, so the ``inv`` histogram is
+    the product over p of the counts of that number over (s, c), and no
+    permutation is visited.  ``fmaj`` is a product of two counts: the major
     index over the n! permutations, times the rows of :func:`_flag_terms`
     over their m^n tuples, since each permutation's colors and peeled colors
     determine each other.  Memory is O(n + degree).
@@ -411,9 +389,11 @@ def histogram(
         shown = _quote(statistic) if isinstance(statistic, str) else _decimal(statistic)
         raise ValueError(f"unknown statistic {shown}")
     _require_budget(m, n, budget)
-    perms = permutations(range(1, n + 1))
     if statistic == "fmaj":
         major, rows = _flag_terms(m, n)
+        perms = permutations(range(1, n + 1))
         return _dense(Counter(map(major, perms))) * _dense(Counter(map(sum, product(*rows))))
-    values = starmap(_values, map(_inversion_terms(m, n), perms))
-    return _dense(Counter(chain.from_iterable(values)))
+    out = QPolynomial((1,))
+    for p in range(n):
+        out *= _dense(Counter(p - s + c + (c and m * s) for s in range(p + 1) for c in range(m)))
+    return out

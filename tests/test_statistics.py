@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from gsg.errors import BudgetExceeded, IndexOutOfRange, RankOutOfRange
 from gsg.group_core import (
     GroupElement,
+    _earlier_smaller,
     canonical_length,
     enumerate_group,
     gen_sigma,
@@ -32,10 +33,8 @@ from gsg.mixed_radix import MixedRadixNumber, decode, encode, encode_width
 from gsg.statistics import (
     QPolynomial,
     _flag_terms,
-    _inversion_terms,
     _inversions,
     _negatives,
-    _values,
     act,
     all_roots,
     delta,
@@ -516,7 +515,7 @@ def test_histogram_checks_its_arguments_in_order_before_any_sweep_work(
     def no_work(*args):
         raise AssertionError("the sweep started before the argument checks")
 
-    for name in ("_inversion_terms", "_flag_terms", "_earlier_smaller"):
+    for name in ("_dense", "_flag_terms", "permutations"):
         monkeypatch.setattr(gsg.statistics, name, no_work)
     with pytest.raises(error) as exc:
         histogram(*args)
@@ -532,6 +531,18 @@ def test_histogram_builds_no_element(monkeypatch):
     monkeypatch.setattr(GroupElement, "__init__", no_element)
     for statistic in ("inv", "fmaj", "L"):
         assert histogram(statistic, 3, 3) == poincare(3, 3)
+
+
+@pytest.mark.parametrize("m,n", [(1, 5), (2, 4), (3, 3), (4, 3)])
+def test_inv_histogram_visits_no_permutation(monkeypatch, m, n):
+    # a product of per-position counts over (s_p, c_p): no permutation, no bisect pass
+    def no_sweep(*args):
+        raise AssertionError("the inv histogram swept the permutations")
+
+    monkeypatch.setattr(gsg.statistics, "permutations", no_sweep)
+    monkeypatch.setattr(gsg.statistics, "_earlier_smaller", no_sweep)
+    for statistic in ("inv", "L"):
+        assert histogram(statistic, m, n) == poincare(m, n)
 
 
 @pytest.mark.parametrize("m,n", [(1, 6), (2, 4), (3, 3), (4, 3)])
@@ -563,10 +574,21 @@ def test_fmaj_sweep_draws_each_peeled_coloring_once(monkeypatch, m, n):
 
 @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 5)])
 def test_fmaj_histogram_counts_each_element_exhaustive(m, n):
-    # counted element by element, so the product form is checked against fmaj
-    # itself, not through the theorem that both equal poincare
-    counts = Counter(map(fmaj, enumerate_group(m, n)))
-    assert histogram("fmaj", m, n).coeffs == tuple(counts[k] for k in range(max(counts) + 1))
+    # every statistic, counted element by element: each product form is checked
+    # against fmaj and the root count themselves, not through the theorem that
+    # all of them equal poincare
+    group = list(enumerate_group(m, n))
+    lengths, fmajs = Counter(map(length_L_oracle, group)), Counter(map(fmaj, group))
+    for statistic, counts in (("inv", lengths), ("fmaj", fmajs), ("L", lengths)):
+        expected = tuple(counts[k] for k in range(max(counts) + 1))
+        assert histogram(statistic, m, n).coeffs == expected
+
+
+def position_terms(w):
+    """The inv histogram's number at each 0-based position p: ``p - s + c``,
+    plus ``m*s`` at a color c > 0, with s the count of earlier smaller values."""
+    below = _earlier_smaller(w.beta)
+    return [p - s + c + (c and w.m * s) for p, (s, c) in enumerate(zip(below, w.colors))]
 
 
 def peeled_colors(w):
@@ -577,19 +599,22 @@ def peeled_colors(w):
 @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 5)])
 def test_sweep_values_match_each_element_exhaustive(m, n):
     # histogram == poincare cannot see two values swapped between elements; this can
-    inv_terms, (major, flag_rows) = _inversion_terms(m, n), _flag_terms(m, n)
+    major, flag_rows = _flag_terms(m, n)
     colorings = list(itertools.product(range(m), repeat=n))
-    for beta in itertools.permutations(range(1, n + 1)):
+    perms = list(itertools.permutations(range(1, n + 1)))
+    # inv: the counts of earlier smaller values are one-to-one with the permutations
+    below = sorted(tuple(_earlier_smaller(beta)) for beta in perms)
+    assert below == list(itertools.product(*(range(p + 1) for p in range(n))))
+    for beta in perms:
         group = [GroupElement(m, n, beta, colors) for colors in colorings]
-        # inv: one value per element, in the order of its colors
-        base, rows = inv_terms(beta)
-        assert list(_values(base, rows)) == [sum(_inversions(w)) for w in group]
+        # inv: each position's number is the root count of its block
         for w in group:
-            assert base + sum(map(getitem, rows, w.colors)) == sum(_inversions(w))
+            assert position_terms(w) == [inv_oracle(w, n - p) for p in range(n)]
         # fmaj: one value per element, in the order of its peeled colors
         by_peeled = {peeled_colors(w): w for w in group}
         assert sorted(by_peeled) == colorings
-        assert list(_values(major(beta), flag_rows)) == [fmaj(by_peeled[c]) for c in colorings]
+        values = [major(beta) + sum(t) for t in itertools.product(*flag_rows)]
+        assert values == [fmaj(by_peeled[c]) for c in colorings]
         for c, w in by_peeled.items():
             value = major(beta) + sum(map(getitem, flag_rows, c))
             assert value == fmaj(w) == adin_roichman_fmaj(w) == sum(fmaj_exponents(w))
@@ -784,8 +809,7 @@ def test_fmaj_closed_form_matches_flag_walk_property(w):
 
 @given(elements())
 def test_sweep_terms_give_each_element_its_values_property(w):
-    base, rows = _inversion_terms(w.m, w.n)(w.beta)
-    assert base + sum(map(getitem, rows, w.colors)) == sum(_inversions(w))
+    assert position_terms(w) == [inv_closed(w, w.n - p) for p in range(w.n)]
     peeled = peeled_colors(w)
     assert all(0 <= c < w.m for c in peeled)
     major, rows = _flag_terms(w.m, w.n)

@@ -128,6 +128,12 @@ def test_repr_names_the_fields():
         ),
         (lambda: GroupElement(0, 2, (1, 2), (0, 0)), ValueError, "need m >= 1 and n >= 1, got (0, 2)"),
         (lambda: GroupElement(3, 3, (1, 1, 2), (0, 0, 0)), ValueError, "(1, 1, 2) is not a permutation of 1..3"),
+        # the length is compared before a list of n values is built
+        (
+            lambda: GroupElement(2, 2**64, (1,), (0,)),
+            ValueError,
+            "(1,) is not a permutation of 1..18446744073709551616",
+        ),
         (lambda: GroupElement(3, 3, (1, 2, 3), (0, 0)), ValueError, "one color per position required"),
         (lambda: GroupElement(3, 3, (1, 2, 3), (0, 3, 0)), ValueError, "color 3 outside 0..2"),
         # psi checks the subexceedant values it is given
