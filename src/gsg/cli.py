@@ -18,7 +18,7 @@ from .errors import (
 )
 from .group_core import DEFAULT_BUDGET, _require_budget, canonical_length, parse_window
 from .mixed_radix import _QUOTED, MixedRadixNumber, _decimal, _quote, decode, encode
-from .statistics import fmaj_exponents, inversion_table, poincare, rank, unrank
+from .statistics import fmaj, fmaj_exponents, inversion_table, length_L, poincare, rank, unrank
 from .subexceedant import digits_of_element, element_of_integer, integer_of_element
 
 EXIT_OK = 0
@@ -155,18 +155,14 @@ def _cmd_stats(args) -> int:
     import json  # only `gsg stats` pays for it
 
     w = parse_window(args.window, args.m)
-    table = inversion_table(w)
-    exponents = fmaj_exponents(w)
-    digits = digits_of_element(w)
     out = {
-        "inv_table": str(table),
-        # length additivity: L is the sum of the i-inversion numbers
-        "L": sum(table.digits),
-        "fmaj": sum(exponents),
-        "fmaj_exponents": exponents,
-        "rank": decode(table) + 1,
-        "subexceedant_digits": str(digits),
-        "integer_rep": decode(digits),
+        "inv_table": str(inversion_table(w)),
+        "L": length_L(w),
+        "fmaj": fmaj(w),
+        "fmaj_exponents": fmaj_exponents(w),
+        "rank": rank(w),
+        "subexceedant_digits": str(digits_of_element(w)),
+        "integer_rep": integer_of_element(w),
     }
     if args.bfs:
         out["canonical_length"] = canonical_length(w)

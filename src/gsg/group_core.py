@@ -22,7 +22,6 @@ import re
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterator, Sequence
-from math import factorial
 from operator import index
 
 from .errors import (
@@ -31,7 +30,9 @@ from .errors import (
     IndexOutOfRange,
     WindowParseError,
 )
-from .mixed_radix import Value, _decimal, _digit_count, _echo, _new, _quote, slot_setters
+from .mixed_radix import (
+    Value, _decimal, _digit_count, _echo, _new, _quote, _radix_product, slot_setters
+)
 
 __all__ = [
     "GroupElement",
@@ -125,7 +126,7 @@ def group_order(m: int, n: int) -> int:
     m, n = index(m), index(n)
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
-    return m**n * factorial(n)
+    return _radix_product(m, 0, n)
 
 
 def _require_budget(m: int, n: int, budget: int) -> int:
@@ -184,7 +185,7 @@ def power(u: GroupElement, k: int) -> GroupElement:
     along it and picks up the colors it passes, plus the cycle's color sum
     once per whole turn (prefix sums over its colors written out twice).
     """
-    m, n = u.m, u.n
+    m, n, k = u.m, u.n, index(k)
     ubeta, ucolors = u.beta, u.colors
     beta = [0] * n
     colors = [0] * n
@@ -192,9 +193,6 @@ def power(u: GroupElement, k: int) -> GroupElement:
         if beta[start]:
             continue
         q = ubeta[start] - 1
-        if q == start:
-            beta[q], colors[q] = q + 1, ucolors[q] * k % m
-            continue
         cycle = [start]
         while q != start:
             cycle.append(q)

@@ -62,28 +62,22 @@ def all_roots(m: int, n: int) -> list[tuple[int, int, int, int]]:
 
 
 def delta(m: int, n: int) -> list[tuple[int, int, int, int]]:
-    """The simple-side set: ``e_j`` minus any colored ``e_l`` with ``l <= j``.
+    """The simple-side set: ``e_j`` minus any colored ``e_l`` with ``l <= j``,
+    the union of its blocks from anchor ``j = 1`` up to ``n``.
 
-    The degenerate color-0 same-index term is excluded (it is not a root).
     At m = 1 this is the symmetric group's type-A set, ``l < j`` only.
     """
-    return [
-        (0, j, k, l)
-        for j in range(1, n + 1)
-        for l in range(1, j + 1)
-        for k in range(m)
-        if l != j or k != 0
-    ]
+    return [r for i in range(n, 0, -1) for r in delta_block(m, n, i)]
 
 
 def delta_block(m: int, n: int, i: int) -> list[tuple[int, int, int, int]]:
-    """The block of the simple-side set anchored at coordinate ``n+1-i``."""
+    """The block of the simple-side set anchored at coordinate ``p = n+1-i``:
+    ``e_p`` minus each colored ``e_l`` with ``l <= p``, less the degenerate
+    color-0 same-index term (it is not a root)."""
     if not 1 <= i <= n:
         raise IndexOutOfRange(f"block index {_decimal(i)} outside 1..{_decimal(n)}")
     p = n + 1 - i
-    return [(0, p, k, p) for k in range(1, m)] + [
-        (0, p, k, j) for j in range(1, p) for k in range(m)
-    ]
+    return [(0, p, k, l) for l in range(1, p + 1) for k in range(m) if l != p or k != 0]
 
 
 def is_negative(r: tuple[int, int, int, int]) -> bool:

@@ -75,8 +75,8 @@ def run_property_checks(
     e = identity(m, n)
     order = group_order(m, n)
     inverse_ok = rank_ok = oracle_ok = additive_ok = True
-    # least significant first, as inversion_table's digits; the blocks
-    # partition the simple-side set, so their counts sum to the length
+    # least significant first, as inversion_table's digits; delta is the union
+    # of these blocks by construction, so their counts sum to the length
     blocks = [delta_block(m, n, i) for i in range(n, 0, -1)]
     inv_counts, fmaj_counts = Counter(), Counter()
     while chunk := list(islice(elements, _CHUNK)):

@@ -115,6 +115,16 @@ def test_stats(capsys):
     assert payload["canonical_length"] == 3
 
 
+def test_stats_reads_each_value_from_its_function(capsys, monkeypatch):
+    # a distinct sentinel per statistic: the JSON shows it only if stats calls that function
+    for name, value in [("length_L", -1), ("fmaj", -2), ("rank", -3), ("integer_of_element", -4)]:
+        monkeypatch.setattr(gsg.cli, name, lambda w, value=value: value)
+    code, out, _ = run(capsys, "stats", "--m", "3", "--bfs", "1 [1]2 3")
+    payload = json.loads(out)
+    assert code == 0
+    assert [payload[key] for key in ("L", "fmaj", "rank", "integer_rep")] == [-1, -2, -3, -4]
+
+
 # capsys is read out after every command, so sharing it across examples is safe
 @settings(
     max_examples=40,
@@ -842,15 +852,45 @@ def test_cli_roundtrips_property(capsys, m, n, data):
     )
 
 
+def _printf(command):
+    """``$(printf 'format' args...)`` as the shell expands it: the format once
+    per argument (or once with none), ``\\n`` a newline, trailing newlines cut."""
+    name, form, *args = shlex.split(command)
+    assert name == "printf" and form.count("%") == form.count("%s") <= 1, command
+    form = form.replace("\\n", "\n")
+    return "".join(form.replace("%s", a) for a in args or [""]).rstrip("\n")
+
+
+def _answer(word, variables):
+    """The value of one `test` operand: a quoted literal, ``"$name"`` or
+    ``"$(printf ...)"``."""
+    if match := re.fullmatch(r'"\$\((printf .*)\)"', word):
+        return _printf(match.group(1))
+    if match := re.fullmatch(r'"\$(\w+)"', word):
+        return variables[match.group(1)]
+    assert re.fullmatch(r"'[^']*'", word) or re.fullmatch(r'"[^"$\\`]*"', word), word
+    return word[1:-1]
+
+
 def test_ci_package_pins_hold_in_process(capsys):
-    # each `test "$(gsg ...)" = '...'` line of the CI package job whose answer
-    # is a quoted literal; answers built with `$` (printf, $passes) are left out
-    pin = re.compile(r"""^\s*test "\$\(gsg (.*)\)" = (["'])([^$]*)\2$""")
+    # each `test "$(gsg ...)" = ...` line of the CI package job, its answer a
+    # quoted literal, "$(printf ...)" or a "$name" set from one; and each
+    # `gsg ... | diff - <file>` line, against the file
     lines = WORKFLOW.read_text(encoding="utf-8").splitlines()
+    assign = re.compile(r'^\s*(\w+)="\$\((printf .*)\)"$')
+    variables = {m.group(1): _printf(m.group(2)) for m in map(assign.match, lines) if m}
+    pin = re.compile(r'^\s*test "\$\(gsg (.*?)\)" = (.*)$')
     pins = [m.groups() for m in map(pin.match, lines) if m]
-    assert len(pins) >= 11
-    for command, _, expected in pins:
+    assert len(pins) == sum(line.lstrip().startswith('test "$(gsg ') for line in lines) >= 17
+    for command, word in pins:
+        expected = _answer(word, variables)
         assert run(capsys, *shlex.split(command))[:2] == (0, expected + "\n"), command
+    diff = re.compile(r"^\s*gsg (.*) \| diff - (\S+)$")
+    diffs = [m.groups() for m in map(diff.match, lines) if m]
+    assert len(diffs) >= 1
+    for command, path in diffs:
+        expected = (ROOT / path).read_text(encoding="utf-8")
+        assert run(capsys, *shlex.split(command))[:2] == (0, expected), command
 
 
 def test_ci_package_python_lines_and_exit_codes_hold(capsys):

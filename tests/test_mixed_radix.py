@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsg.errors import DigitBoundError, IndexOutOfRange
-from gsg.group_core import GroupElement, gen_s
+from gsg.group_core import GroupElement, gen_s, group_order
 from gsg.mixed_radix import (
     _LEAF,
     _TREE_NODES,
@@ -140,12 +140,16 @@ def test_leading_digit_sandwich():
             assert lead * w <= x < (lead + 1) * w
 
 
-@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+@pytest.mark.parametrize(
+    "m,n",
+    [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (1, _LEAF), (2, _LEAF + 1), (5, 500), (2, 2000)],
+)
 def test_valid_string_count_is_group_order(m, n):
+    # up to _LEAF radices group_order's product is one leaf; past it, a tree
     count = 1
     for i in range(n):
         count *= m * (i + 1)
-    assert count == m**n * factorial(n)
+    assert count == m**n * factorial(n) == group_order(m, n)
 
 
 def test_digit_bound_validation():

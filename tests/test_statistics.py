@@ -120,6 +120,8 @@ def test_root_machinery_answers_at_radix_one():
     # at m = 1 the roots are the symmetric group's type-A set e_j - e_l
     assert sorted(all_roots(1, 3)) == [(0, j, 0, l) for j in (1, 2, 3) for l in (1, 2, 3) if j != l]
     assert delta(1, 3) == [(0, 2, 0, 1), (0, 3, 0, 1), (0, 3, 0, 2)]
+    # the union of the blocks keeps the set's order: anchor j up, then l up, then color up
+    assert delta(2, 2) == [(0, 1, 1, 1), (0, 2, 0, 1), (0, 2, 1, 1), (0, 2, 1, 2)]
     for w in enumerate_group(1, 4):
         inversions = _inversions(w)
         assert length_L(w) == length_L_oracle(w) == sum(inversions)

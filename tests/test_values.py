@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gsg.errors import DigitBoundError
-from gsg.group_core import GroupElement, group_order, identity, parse_window
+from gsg.group_core import GroupElement, gen_t, group_order, identity, parse_window, power
 from gsg.mixed_radix import MixedRadixNumber, encode, encode_width, weights
 from gsg.statistics import QPolynomial
 from gsg.subexceedant import psi
@@ -188,9 +188,11 @@ def test_constructors_normalise_as_before():
         (lambda k: parse_window("1 2", k), lambda w: w.m),
         (lambda k: group_order(k, 3), lambda order: order),
         (lambda k: group_order(2, k), lambda order: order),
+        (lambda k: power(gen_t(3, 2, 1), k), lambda w: w.colors[0]),
     ],
     ids=["encode x", "encode m", "encode_width x", "encode_width m", "encode_width n",
-         "weights m", "weights count", "parse_window m", "group_order m", "group_order n"],
+         "weights m", "weights count", "parse_window m", "group_order m", "group_order n",
+         "power k"],
 )
 def test_codec_parser_and_order_take_integers_only(call, field):
     # as the checked constructors: a float raises, a bool becomes an int field
