@@ -275,6 +275,7 @@ def enumerate_group(
 
     The budget is checked at call time, not at first iteration.
     """
+    m, n = index(m), index(n)
     _require_budget(m, n, budget)
     build = GroupElement._unchecked
     return (

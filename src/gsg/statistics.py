@@ -20,13 +20,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, permutations, product
-from operator import sub
+from operator import index, sub
 
 from .errors import BudgetExceeded, IndexOutOfRange, RankOutOfRange
-from .group_core import DEFAULT_BUDGET, GroupElement, _earlier_smaller, _require_budget
-from .mixed_radix import (
-    MixedRadixNumber, Value, _decimal, _decode, _encode, _quote, _radix_product, slot_setters
-)
+from .group_core import DEFAULT_BUDGET, GroupElement, _earlier_smaller, _require_budget, group_order
+from .mixed_radix import MixedRadixNumber, Value, _decimal, _decode, _encode, _quote, slot_setters
 
 __all__ = [
     "QPolynomial",
@@ -203,9 +201,8 @@ def unrank(r: int, m: int, n: int) -> GroupElement:
     m - 1)`` gives the index among the remaining values in ascending order
     and the color minus 1.  O(n^2) in all.
     """
-    if m < 1 or n < 1:
-        raise ValueError("need m >= 1 and n >= 1")
-    order = _radix_product(m, 0, n)
+    m, n = index(m), index(n)
+    order = group_order(m, n)
     if not 1 <= r <= order:
         raise RankOutOfRange(f"rank {_decimal(r)} outside 1..{_decimal(order)}")
     digits = [0] * n

@@ -2,10 +2,6 @@
 
 import argparse
 import json
-import os
-import re
-import shlex
-import subprocess
 import sys
 from math import factorial
 from pathlib import Path
@@ -34,8 +30,6 @@ from gsg.subexceedant import integer_of_element
 from gsg.verify import run_property_checks
 
 GOLDEN = Path(__file__).parent / "data" / "table_3_3_golden.csv"
-ROOT = Path(__file__).resolve().parent.parent
-WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 PANGRAM = "THE QUICK BROWN FOX JUMPS OVER THE LAZY DOG"
 PANGRAM_INT = (
@@ -89,30 +83,43 @@ def test_rank_unrank(capsys):
     assert run(capsys, "unrank", "--m", "3", "--n", "3", "1")[:2] == (0, "1 2 3\n")
 
 
+# each whole stdout line; the word length of the all-colored G(2,1,7) (645,120
+# elements) and of G(2,1,8), past the sweeping commands' default budget (stats
+# takes none), and of the radix-3 element where it falls below L
+STATS_PINS = [
+    (
+        ["--m", "5", "[2]3 [4]1 [1]6 5 [1]4 [2]2"],
+        '{"inv_table": "11:13:1:11:5:2", "L": 43, "fmaj": 60, "fmaj_exponents": [2, 7, 2, 15,'
+        ' 18, 16], "rank": 4321328, "subexceedant_digits": "7:16:15:6:4:2", "integer_rep":'
+        " 2876572}",
+    ),
+    (
+        ["--m", "2", "--bfs", "[1]1 [1]2 [1]3 [1]4 [1]5 [1]6 [1]7"],
+        '{"inv_table": "13:11:9:7:5:3:1", "L": 49, "fmaj": 7, "fmaj_exponents": [0, 0, 0, 0, 0,'
+        ' 0, 7], "rank": 645120, "subexceedant_digits": "13:11:9:7:5:3:1", "integer_rep":'
+        ' 645119, "canonical_length": 49}',
+    ),
+    (
+        ["--m", "2", "--bfs", "[1]1 [1]2 [1]3 [1]4 [1]5 [1]6 [1]7 [1]8"],
+        '{"inv_table": "15:13:11:9:7:5:3:1", "L": 64, "fmaj": 8, "fmaj_exponents": [0, 0, 0, 0,'
+        ' 0, 0, 0, 8], "rank": 10321920, "subexceedant_digits": "15:13:11:9:7:5:3:1",'
+        ' "integer_rep": 10321919, "canonical_length": 64}',
+    ),
+    (
+        ["--m", "3", "--bfs", "1 [1]2 3"],
+        '{"inv_table": "0:4:0", "L": 4, "fmaj": 4, "fmaj_exponents": [2, 2, 0], "rank": 13,'
+        ' "subexceedant_digits": "6:4:0", "integer_rep": 120, "canonical_length": 3}',
+    ),
+]
+
+
 def test_stats(capsys):
-    code, out, _ = run(capsys, "stats", "--m", "5", "[2]3 [4]1 [1]6 5 [1]4 [2]2")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["L"] == 43
-    assert payload["inv_table"] == "11:13:1:11:5:2"
-    assert payload["rank"] == 4321328
-    assert set(payload) == {
-        "inv_table",
-        "L",
-        "fmaj",
-        "fmaj_exponents",
-        "rank",
-        "subexceedant_digits",
-        "integer_rep",
-    }
+    for argv, expected in STATS_PINS:
+        assert run(capsys, "stats", *argv)[:2] == (0, expected + "\n"), argv
 
     code, out, _ = run(capsys, "stats", "--m", "3", "1 2 3")
     payload = json.loads(out)
     assert (payload["L"], payload["fmaj"], payload["rank"]) == (0, 0, 1)
-
-    code, out, _ = run(capsys, "stats", "--m", "3", "--bfs", "1 [1]2 3")
-    payload = json.loads(out)
-    assert payload["canonical_length"] == 3
 
 
 def test_stats_reads_each_value_from_its_function(capsys, monkeypatch):
@@ -216,11 +223,13 @@ PASS equidistribution inv/fmaj/poincare
 PASS length additivity
 """
 
-# at m = 1 the roots are the symmetric group's type-A set: the same six checks
-VERIFY_1_4 = VERIFY_3_3
+# every group prints the same six lines; at m = 1 the roots are the symmetric
+# group's type-A set. G(4,1,3) and G(2,1,4) set group_sweep's p95, and
+# G(3,1,4) sweeps 1,944 elements in eight chunks
+VERIFY_GROUPS = [(3, 3), (1, 4), (2, 3), (4, 3), (2, 4), (3, 4), (1, 5)]
 
 
-@pytest.mark.parametrize("m,n,expected", [(3, 3, VERIFY_3_3), (1, 4, VERIFY_1_4)])
+@pytest.mark.parametrize("m,n,expected", [(m, n, VERIFY_3_3) for m, n in VERIFY_GROUPS])
 def test_verify_exact_output(capsys, m, n, expected):
     assert run(capsys, "verify", "--m", str(m), "--n", str(n))[:2] == (0, expected)
 
@@ -613,8 +622,14 @@ def with_int_limit(limit, fn, *args):
         (["unrank", "--m", "2", "--n", "2", "9"], 3),
         (["poincare", "--m", "2", "--n", "80", "--budget", "10"], 4),
         (["poincare", "--m", "x", "--n", "2"], None),  # argparse's SystemExit
+        # one past each end of G(5,1,6)'s 11,250,000 ranks
+        (["unrank", "--m", "5", "--n", "6", "0"], 3),
+        (["unrank", "--m", "5", "--n", "6", "11250001"], 3),
     ],
-    ids=["exit 0", "exit 2 window", "exit 2 option", "exit 3", "exit 4", "argparse exit"],
+    ids=[
+        "exit 0", "exit 2 window", "exit 2 option", "exit 3", "exit 4", "argparse exit",
+        "exit 3 rank 0", "exit 3 past the last rank",
+    ],
 )
 def test_main_puts_back_the_str_digit_limit(capsys, argv, code):
     def limit_after_main():
@@ -851,66 +866,3 @@ def test_cli_roundtrips_property(capsys, m, n, data):
         text + "\n",
     )
 
-
-def _printf(command):
-    """``$(printf 'format' args...)`` as the shell expands it: the format once
-    per argument (or once with none), ``\\n`` a newline, trailing newlines cut."""
-    name, form, *args = shlex.split(command)
-    assert name == "printf" and form.count("%") == form.count("%s") <= 1, command
-    form = form.replace("\\n", "\n")
-    return "".join(form.replace("%s", a) for a in args or [""]).rstrip("\n")
-
-
-def _answer(word, variables):
-    """The value of one `test` operand: a quoted literal, ``"$name"`` or
-    ``"$(printf ...)"``."""
-    if match := re.fullmatch(r'"\$\((printf .*)\)"', word):
-        return _printf(match.group(1))
-    if match := re.fullmatch(r'"\$(\w+)"', word):
-        return variables[match.group(1)]
-    assert re.fullmatch(r"'[^']*'", word) or re.fullmatch(r'"[^"$\\`]*"', word), word
-    return word[1:-1]
-
-
-def test_ci_package_pins_hold_in_process(capsys):
-    # each `test "$(gsg ...)" = ...` line of the CI package job, its answer a
-    # quoted literal, "$(printf ...)" or a "$name" set from one; and each
-    # `gsg ... | diff - <file>` line, against the file
-    lines = WORKFLOW.read_text(encoding="utf-8").splitlines()
-    assign = re.compile(r'^\s*(\w+)="\$\((printf .*)\)"$')
-    variables = {m.group(1): _printf(m.group(2)) for m in map(assign.match, lines) if m}
-    pin = re.compile(r'^\s*test "\$\(gsg (.*?)\)" = (.*)$')
-    pins = [m.groups() for m in map(pin.match, lines) if m]
-    assert len(pins) == sum(line.lstrip().startswith('test "$(gsg ') for line in lines) >= 17
-    for command, word in pins:
-        expected = _answer(word, variables)
-        assert run(capsys, *shlex.split(command))[:2] == (0, expected + "\n"), command
-    diff = re.compile(r"^\s*gsg (.*) \| diff - (\S+)$")
-    diffs = [m.groups() for m in map(diff.match, lines) if m]
-    assert len(diffs) >= 1
-    for command, path in diffs:
-        expected = (ROOT / path).read_text(encoding="utf-8")
-        assert run(capsys, *shlex.split(command))[:2] == (0, expected), command
-
-
-def test_ci_package_python_lines_and_exit_codes_hold(capsys):
-    # each `python -c '...'` line of the CI package job, run against src/, and
-    # each `code=0; gsg ... || code=$?` line with the `test "$code" -eq N` after it
-    lines = WORKFLOW.read_text(encoding="utf-8").splitlines()
-    script = re.compile(r"^\s*python -c '([^']*)'$")
-    scripts = [m.group(1) for m in map(script.match, lines) if m]
-    assert len(scripts) >= 4
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    for source in scripts:
-        proc = subprocess.run(
-            [sys.executable, "-c", source], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert proc.returncode == 0, (source, proc.stderr)
-    command = re.compile(r"^\s*code=0; gsg (.*) \|\| code=\$\?$")
-    expect = re.compile(r'^\s*test "\$code" -eq ([0-9]+)$')
-    commands = [(i, m.group(1)) for i, m in enumerate(map(command.match, lines)) if m]
-    assert len(commands) >= 2
-    for i, argv in commands:
-        code = expect.match(lines[i + 1])
-        assert code, lines[i + 1]
-        assert run(capsys, *shlex.split(argv))[0] == int(code.group(1)), argv

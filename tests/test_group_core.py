@@ -3,6 +3,7 @@
 import itertools
 import sys
 import time
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -80,6 +81,8 @@ def test_power():
     u = parse_window("[2]3 [1]1 2", 3)
     assert power(u, -1) == inverse(u)
     assert power(u, 3) == multiply(u, multiply(u, u))
+    u = GroupElement(4, 6, (2, 4, 3, 1, 6, 5), (1, 2, 3, 1, 2, 3))
+    assert power(u, 7) == reduce(multiply, [u] * 7)
 
 
 def test_generators():

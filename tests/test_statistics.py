@@ -9,7 +9,7 @@ from math import factorial
 from operator import getitem
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gsg.errors import BudgetExceeded, IndexOutOfRange, RankOutOfRange
@@ -262,6 +262,7 @@ def test_rank_examples():
     assert rank(parse_window("[2]3 [1]1 2", 3)) == 27
     assert rank(longest_element(3, 3)) == 162
     assert rank(parse_window(W_BIG, 5)) == 4321328
+    assert_table_is_rank_digits(parse_window(W_BIG, 5), 4321328)
     assert rank(identity(4, 4)) == 1
 
 
@@ -454,7 +455,10 @@ def test_qpolynomial_trims_trailing_zeros_in_linear_time():
     assert best < 0.5, f"took {best:.6f}s, budget 0.5s"
 
 
-@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (5, 2)])
+# G(3,1,6) has 524,880 elements: each histogram is a product of small counts
+@pytest.mark.parametrize(
+    "m,n", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (5, 2), (4, 3), (2, 4), (3, 6)]
+)
 def test_equidistribution(m, n):
     expected = poincare(m, n)
     assert histogram("inv", m, n) == expected
@@ -463,8 +467,9 @@ def test_equidistribution(m, n):
 
 
 def test_histogram_radix_one():
-    for statistic in ("inv", "fmaj", "L"):
-        assert histogram(statistic, 1, 3) == poincare(1, 3)
+    # fmaj is the major index alone; inv and L count a permutation's inversions
+    for statistic, n in itertools.product(("inv", "fmaj", "L"), (3, 6, 7)):
+        assert histogram(statistic, 1, n) == poincare(1, n)
 
 
 def test_histogram_rejects_an_unknown_statistic_before_the_budget():
@@ -780,14 +785,17 @@ def test_flag_walk_matches_turn_oracle_property(w):
     assert phi(w) == phi_oracle(w)
 
 
+def seeded_element(m, n, seed):
+    rnd = random.Random(seed)
+    beta = rnd.sample(range(1, n + 1), n)
+    return GroupElement(m, n, tuple(beta), tuple(rnd.randrange(m) for _ in beta))
+
+
 @st.composite
 def large_elements(draw, max_n=2000):
     # a seeded shuffle: per-entry hypothesis draws would dominate the run time at n = 2000
     m = draw(st.integers(1, 6))
-    n = draw(st.integers(1, max_n))
-    rnd = random.Random(draw(st.integers(0, 2**32)))
-    beta = rnd.sample(range(1, n + 1), n)
-    return GroupElement(m, n, tuple(beta), tuple(rnd.randrange(m) for _ in beta))
+    return seeded_element(m, draw(st.integers(1, max_n)), draw(st.integers(0, 2**32)))
 
 
 @settings(deadline=None)
@@ -805,6 +813,7 @@ def test_fmaj_closed_form_matches_flag_walk_exhaustive(m, n):
 
 @settings(deadline=None)
 @given(large_elements())
+@example(seeded_element(5, 2000, 2000))
 def test_fmaj_closed_form_matches_flag_walk_property(w):
     assert fmaj(w) == sum(fmaj_exponents(w))
 

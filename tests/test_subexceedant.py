@@ -1,6 +1,7 @@
 """Bijection-chain tests: digits <-> (subexceedant, colors) <-> element <-> integer."""
 
 import itertools
+import random
 from math import factorial
 
 import pytest
@@ -65,6 +66,7 @@ def test_psi_bijection_exhaustive():
 
 def test_psi_inverse_examples():
     assert psi_inverse((2, 4, 3, 1, 6, 5)) == (1, 1, 3, 1, 5, 5)
+    assert psi((1, 1, 3, 1, 5, 5)) == (2, 4, 3, 1, 6, 5)
     assert psi_inverse((1, 2, 3, 4)) == (1, 2, 3, 4)
     assert psi_inverse((3, 4, 2, 5, 1)) == (1, 1, 2, 1, 1)
 
@@ -166,6 +168,11 @@ def test_integer_examples():
     assert integer_of_element(parse_window("[1]3 4 2 [1]5 [1]1", 3)) == 2161
     assert integer_of_element(longest_element(3, 3)) == 161
     assert element_of_integer(0, 3, 3).window() == "2 3 1"
+    # a seeded element of G(5,1,2000)
+    rnd = random.Random(2000)
+    beta = rnd.sample(range(1, 2001), 2000)
+    w = GroupElement(5, 2000, tuple(beta), tuple(rnd.randrange(5) for _ in beta))
+    assert element_of_integer(integer_of_element(w), 5, 2000) == w
     with pytest.raises(OverflowError):
         element_of_integer(162, 3, 3)
 

@@ -15,9 +15,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gsg.errors import DigitBoundError
-from gsg.group_core import GroupElement, gen_t, group_order, identity, parse_window, power
+from gsg.group_core import (
+    GroupElement, enumerate_group, gen_t, group_order, identity, parse_window, power
+)
 from gsg.mixed_radix import MixedRadixNumber, encode, encode_width, weights
-from gsg.statistics import QPolynomial
+from gsg.statistics import QPolynomial, unrank
 from gsg.subexceedant import psi
 
 
@@ -189,10 +191,14 @@ def test_constructors_normalise_as_before():
         (lambda k: group_order(k, 3), lambda order: order),
         (lambda k: group_order(2, k), lambda order: order),
         (lambda k: power(gen_t(3, 2, 1), k), lambda w: w.colors[0]),
+        (lambda k: unrank(1, k, 3), lambda w: w.m),
+        (lambda k: unrank(1, 2, k), lambda w: w.n),
+        (lambda k: list(enumerate_group(k, 2)), lambda ws: ws[0].m),
+        (lambda k: list(enumerate_group(2, k)), lambda ws: ws[0].n),
     ],
     ids=["encode x", "encode m", "encode_width x", "encode_width m", "encode_width n",
          "weights m", "weights count", "parse_window m", "group_order m", "group_order n",
-         "power k"],
+         "power k", "unrank m", "unrank n", "enumerate_group m", "enumerate_group n"],
 )
 def test_codec_parser_and_order_take_integers_only(call, field):
     # as the checked constructors: a float raises, a bool becomes an int field
