@@ -34,4 +34,4 @@ class RankOutOfRange(GsgError, ValueError):
 
 
 class BudgetExceeded(GsgError, RuntimeError):
-    """A whole-group sweep would visit more elements than the caller allowed."""
+    """A call would do more work (elements visited or coefficient updates) than allowed."""

@@ -18,12 +18,11 @@ the flag-major index.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
-from itertools import accumulate, permutations, product
+from itertools import accumulate
 from operator import index, sub
 
 from .errors import BudgetExceeded, IndexOutOfRange, RankOutOfRange
-from .group_core import DEFAULT_BUDGET, GroupElement, _earlier_smaller, _require_budget, group_order
+from .group_core import DEFAULT_BUDGET, GroupElement, _earlier_smaller, group_order
 from .mixed_radix import MixedRadixNumber, Value, _decimal, _decode, _encode, _quote, slot_setters
 
 __all__ = [
@@ -315,13 +314,20 @@ class QPolynomial(Value):
 (_set_coeffs,) = slot_setters(QPolynomial)
 
 
+def _window_sums(coeffs: list[int], k: int) -> list[int]:
+    """``coeffs`` times ``[k]_q``: coefficient j sums the ``k`` coefficients
+    at ``j, j - 1, .., j - k + 1``, a difference of two prefix sums.  O(degree)."""
+    prefix = list(accumulate(coeffs + [0] * (k - 1)))
+    return list(map(sub, prefix, [0] * k + prefix))
+
+
 def poincare(m: int, n: int, budget: int = DEFAULT_BUDGET) -> QPolynomial:
     """The product of the q-integers ``[im]_q`` for ``i = 1..n``, exactly.
 
-    Multiplying by ``[k]_q`` sums each run of ``k`` consecutive coefficients,
-    a difference of two prefix sums: O(deg) per factor.  ``budget`` bounds
-    the coefficient updates, ``n * (deg + 1)`` with ``deg = m*n*(n+1)/2 - n``
-    the degree of the product; :class:`BudgetExceeded` before any work.
+    Multiplying by ``[k]_q`` is one :func:`_window_sums`, O(deg) per factor.
+    ``budget`` bounds the coefficient updates, ``n * (deg + 1)`` with ``deg =
+    m*n*(n+1)/2 - n`` the degree of the product; :class:`BudgetExceeded`
+    before any work.
     """
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
@@ -333,58 +339,29 @@ def poincare(m: int, n: int, budget: int = DEFAULT_BUDGET) -> QPolynomial:
         )
     coeffs = [1]
     for k in range(m, m * n + 1, m):
-        prefix = list(accumulate(coeffs, initial=0))
-        # coefficient j is prefix[min(j+1, len)] - prefix[max(0, j+1-k)]
-        upper = prefix[1:] + [prefix[-1]] * (k - 1)
-        lower = [0] * (k - 1) + prefix[:-1]
-        coeffs = list(map(sub, upper, lower))
+        coeffs = _window_sums(coeffs, k)
     return QPolynomial(tuple(coeffs))
-
-
-def _flag_terms(m: int, n: int):
-    """``(major, rows)`` with ``fmaj(w) == major(beta) + sum(map(getitem,
-    rows, peeled))`` for each w with permutation ``beta``, where the
-    exponents of :func:`fmaj_exponents` are ``peeled[p-1]*p + r_p``.
-
-    ``major(beta)`` sums the ``r_p``: at color 0 they are the flag exponents
-    of ``beta`` alone, whose sum is its major index, the sum of its descent
-    positions.  ``rows[p-1] = (0, p, .., (m-1)*p)`` for every permutation.
-    """
-    rows = [tuple(range(0, m * p, p)) for p in range(1, n + 1)]
-    return (lambda beta: sum(p for p in range(1, n) if beta[p - 1] > beta[p])), rows
-
-
-def _dense(counts: Counter) -> QPolynomial:
-    """The polynomial whose coefficient ``k`` is ``counts[k]``."""
-    return QPolynomial(tuple(counts[k] for k in range(max(counts) + 1)))
 
 
 def histogram(
     statistic: str, m: int, n: int, budget: int = DEFAULT_BUDGET
 ) -> QPolynomial:
     """Coefficient ``c_k`` counts the elements whose ``statistic`` (``"inv"``,
-    ``"fmaj"`` or ``"L"``) has value ``k``.
+    ``"fmaj"`` or ``"L"``) has value ``k``.  Each statistic's generating
+    function factors into :func:`poincare`'s product, so that is what is
+    returned: no element is built and nothing is enumerated.
 
-    ``inv`` and ``L`` both sum the closed-form i-inversion numbers;
-    :func:`length_L_oracle` is the root count.  No element is built.  The
-    number at 0-based position p is ``p - s`` plus, at a color c > 0,
-    ``c + m*s``, where s in 0..p counts the earlier smaller values; a
-    permutation is one-to-one with its counts, so the ``inv`` histogram is
-    the product over p of the counts of that number over (s, c), and no
-    permutation is visited.  ``fmaj`` is a product of two counts: the major
-    index over the n! permutations, times the rows of :func:`_flag_terms`
-    over their m^n tuples, since each permutation's colors and peeled colors
-    determine each other.  Memory is O(n + degree).
+    ``inv`` and ``L`` sum the i-inversion numbers.  At 0-based position p the
+    number is ``p - s``, plus ``c + m*s`` at a color c > 0, with s in 0..p the
+    earlier smaller values; over the (s, c) it takes each of 0..m(p+1)-1
+    once, so position p contributes ``[m(p+1)]_q``.  ``fmaj`` sums the flag
+    exponents ``c_p * p + r_p``: the ``r_p`` sum to the permutation's major
+    index, counted over S_n by MacMahon's ``[n]_q! = prod [p]_q``, and the
+    peeled colors ``c_p`` run once over all m^n tuples, so position p
+    contributes ``[p]_q [m]_{q^p} = (1-q^p)/(1-q) * (1-q^(mp))/(1-q^p) =
+    [mp]_q``.  ``budget`` bounds the coefficient updates as in :func:`poincare`.
     """
     if statistic not in ("inv", "fmaj", "L"):
         shown = _quote(statistic) if isinstance(statistic, str) else _decimal(statistic)
         raise ValueError(f"unknown statistic {shown}")
-    _require_budget(m, n, budget)
-    if statistic == "fmaj":
-        major, rows = _flag_terms(m, n)
-        perms = permutations(range(1, n + 1))
-        return _dense(Counter(map(major, perms))) * _dense(Counter(map(sum, product(*rows))))
-    out = QPolynomial((1,))
-    for p in range(n):
-        out *= _dense(Counter(p - s + c + (c and m * s) for s in range(p + 1) for c in range(m)))
-    return out
+    return poincare(m, n, budget)

@@ -7,13 +7,18 @@ import subprocess
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+import gsg
 
-# the modules that import gsg.cli adds to those the interpreter started with
+# the children import gsg from where this suite did: src/ or the installed package
+# (the name gsg is the process helper below)
+GSG_INIT = Path(gsg.__file__).resolve()
+ENV = dict(os.environ, PYTHONPATH=str(GSG_INIT.parents[1]))
+
+# the modules that import gsg.cli adds to those the interpreter started with,
+# then the file gsg came from
 PROBE = (
     "import sys; before = set(sys.modules); import gsg.cli; "
-    "print(' '.join(sorted(set(sys.modules) - before)))"
+    "print(' '.join(sorted(set(sys.modules) - before))); print(sys.modules['gsg'].__file__)"
 )
 
 
@@ -28,7 +33,9 @@ def test_import_loads_no_dataclasses_inspect_or_json():
         [sys.executable, "-c", PROBE], env=ENV, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
+    names, origin = proc.stdout.splitlines()
+    assert Path(origin).resolve() == GSG_INIT
+    loaded = set(names.split())
     assert "gsg.cli" in loaded
     # nor gsg.verify: only `gsg verify` needs the sweep module
     assert not loaded & {"dataclasses", "inspect", "json", "gsg.verify"}

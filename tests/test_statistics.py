@@ -32,9 +32,9 @@ import gsg.statistics
 from gsg.mixed_radix import MixedRadixNumber, decode, encode, encode_width
 from gsg.statistics import (
     QPolynomial,
-    _flag_terms,
     _inversions,
     _negatives,
+    _window_sums,
     act,
     all_roots,
     delta,
@@ -509,7 +509,10 @@ def test_histogram_names_an_unknown_statistic_briefly(statistic, shown, limit):
 HISTOGRAM_ARGUMENT_ERRORS = {
     "statistic first": (("maj", 0, 60, 10), ValueError, "unknown statistic 'maj'"),
     "empty group": (("L", 0, 60, 10), ValueError, "need m >= 1 and n >= 1"),
-    "budget": (("L", 1, 60, 10), BudgetExceeded, "order of G(1,1,60) exceeds budget 10"),
+    # poincare's count: 60 factors times 1,771 coefficients
+    "budget": (
+        ("L", 1, 60, 10), BudgetExceeded, "106260 coefficient updates for G(1,1,60) exceed budget 10"
+    ),
 }
 
 
@@ -520,10 +523,9 @@ def test_histogram_checks_its_arguments_in_order_before_any_sweep_work(
     monkeypatch, args, error, message
 ):
     def no_work(*args):
-        raise AssertionError("the sweep started before the argument checks")
+        raise AssertionError("the kernel ran before the argument checks")
 
-    for name in ("_dense", "_flag_terms", "permutations"):
-        monkeypatch.setattr(gsg.statistics, name, no_work)
+    monkeypatch.setattr(gsg.statistics, "_window_sums", no_work)
     with pytest.raises(error) as exc:
         histogram(*args)
     assert type(exc.value) is error
@@ -540,43 +542,77 @@ def test_histogram_builds_no_element(monkeypatch):
         assert histogram(statistic, 3, 3) == poincare(3, 3)
 
 
+def recorded_window_sums(monkeypatch):
+    """The width ``k`` of each :func:`_window_sums` call, in order."""
+    calls = []
+
+    def record(coeffs, k):
+        calls.append(k)
+        return _window_sums(coeffs, k)
+
+    monkeypatch.setattr(gsg.statistics, "_window_sums", record)
+    return calls
+
+
 @pytest.mark.parametrize("m,n", [(1, 5), (2, 4), (3, 3), (4, 3)])
 def test_inv_histogram_visits_no_permutation(monkeypatch, m, n):
-    # a product of per-position counts over (s_p, c_p): no permutation, no bisect pass
+    # one window sum per position p, of width m(p+1): no permutation, no bisect pass
     def no_sweep(*args):
         raise AssertionError("the inv histogram swept the permutations")
 
-    monkeypatch.setattr(gsg.statistics, "permutations", no_sweep)
     monkeypatch.setattr(gsg.statistics, "_earlier_smaller", no_sweep)
+    expected = poincare(m, n)
     for statistic in ("inv", "L"):
-        assert histogram(statistic, m, n) == poincare(m, n)
+        calls = recorded_window_sums(monkeypatch)
+        assert histogram(statistic, m, n) == expected
+        assert calls == [m * (p + 1) for p in range(n)]
 
 
 @pytest.mark.parametrize("m,n", [(1, 6), (2, 4), (3, 3), (4, 3)])
 def test_fmaj_sweep_runs_no_bisect_pass_and_no_walk(monkeypatch, m, n):
-    # each permutation's fixed part is its major index, a sum over its descents
+    # the major index over S_n is [n]_q!, read off no permutation
     def no_pass(*args):
-        raise AssertionError("the fmaj sweep ran a bisect pass or the flag walk")
+        raise AssertionError("the fmaj histogram ran a bisect pass or the flag walk")
 
     monkeypatch.setattr(gsg.statistics, "_earlier_smaller", no_pass)
     monkeypatch.setattr(gsg.statistics, "fmaj_exponents", no_pass)
+    monkeypatch.setattr(gsg.statistics, "_inversions", no_pass)
     assert histogram("fmaj", m, n) == poincare(m, n)
 
 
 @pytest.mark.parametrize("m,n", [(1, 6), (2, 4), (3, 3), (4, 3)])
 def test_fmaj_sweep_draws_each_peeled_coloring_once(monkeypatch, m, n):
-    # the major index and the peeled colors are counted apart: m^n tuples, not n! * m^n
-    drawn = 0
+    # per position p, [p]_q for the major index times [m]_{q^p} for the peeled
+    # color is [mp]_q: one window sum, not one term per coloring
+    expected = poincare(m, n)
+    calls = recorded_window_sums(monkeypatch)
+    assert histogram("fmaj", m, n) == expected
+    assert calls == [m * p for p in range(1, n + 1)]
 
-    def counted_product(*rows):
-        nonlocal drawn
-        for t in itertools.product(*rows):
-            drawn += 1
-            yield t
 
-    monkeypatch.setattr(gsg.statistics, "product", counted_product)
-    assert histogram("fmaj", m, n) == poincare(m, n)
-    assert drawn == m**n
+@pytest.mark.parametrize("statistic", ["inv", "fmaj", "L"])
+@pytest.mark.parametrize("m,n", [(1, 10), (2, 12)])
+def test_histogram_answers_past_the_group_order(statistic, m, n):
+    # 10! and 2^12 * 12! pass the default budget of 10^6 elements, but the
+    # products take 460 and 1,740 coefficient updates
+    assert group_order(m, n) > 10**6
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        out = histogram(statistic, m, n)
+        best = min(best, time.perf_counter() - start)
+    assert out == poincare(m, n)
+    assert best < 0.05, f"took {best:.6f}s, budget 0.05s"
+
+
+@given(st.lists(st.integers(0, 10**6), min_size=1, max_size=30), st.integers(1, 40))
+@example([1], 1)
+@example([0, 0, 5], 7)
+def test_window_sums_match_the_product_property(coeffs, k):
+    # the kernel against QPolynomial.__mul__ by [k]_q = 1 + q + .. + q^(k-1)
+    out = _window_sums(coeffs, k)
+    assert len(out) == len(coeffs) + k - 1
+    assert QPolynomial(tuple(out)) == QPolynomial(tuple(coeffs)) * QPolynomial((1,) * k)
 
 
 @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 5)])
@@ -589,6 +625,19 @@ def test_fmaj_histogram_counts_each_element_exhaustive(m, n):
     for statistic, counts in (("inv", lengths), ("fmaj", fmajs), ("L", lengths)):
         expected = tuple(counts[k] for k in range(max(counts) + 1))
         assert histogram(statistic, m, n).coeffs == expected
+
+
+def flag_terms(m, n):
+    """``(major, rows)`` with ``fmaj(w) == major(beta) + sum(map(getitem,
+    rows, peeled))`` for each w with permutation ``beta``, where the
+    exponents of :func:`fmaj_exponents` are ``peeled[p-1]*p + r_p``.
+
+    ``major(beta)`` sums the ``r_p``: at color 0 they are the flag exponents
+    of ``beta`` alone, whose sum is its major index, the sum of its descent
+    positions.  ``rows[p-1] = (0, p, .., (m-1)*p)`` for every permutation.
+    """
+    rows = [tuple(range(0, m * p, p)) for p in range(1, n + 1)]
+    return (lambda beta: sum(p for p in range(1, n) if beta[p - 1] > beta[p])), rows
 
 
 def position_terms(w):
@@ -606,7 +655,7 @@ def peeled_colors(w):
 @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 5)])
 def test_sweep_values_match_each_element_exhaustive(m, n):
     # histogram == poincare cannot see two values swapped between elements; this can
-    major, flag_rows = _flag_terms(m, n)
+    major, flag_rows = flag_terms(m, n)
     colorings = list(itertools.product(range(m), repeat=n))
     perms = list(itertools.permutations(range(1, n + 1)))
     # inv: the counts of earlier smaller values are one-to-one with the permutations
@@ -823,7 +872,7 @@ def test_sweep_terms_give_each_element_its_values_property(w):
     assert position_terms(w) == [inv_closed(w, w.n - p) for p in range(w.n)]
     peeled = peeled_colors(w)
     assert all(0 <= c < w.m for c in peeled)
-    major, rows = _flag_terms(w.m, w.n)
+    major, rows = flag_terms(w.m, w.n)
     assert major(w.beta) + sum(map(getitem, rows, peeled)) == fmaj(w) == adin_roichman_fmaj(w)
 
 
