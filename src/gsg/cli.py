@@ -97,12 +97,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("element", _cmd_element, "integer <-> group element window")
     esub = p.add_subparsers(dest="action", required=True)
-    enc = esub.add_parser("encode", help="integer to window", parents=[m, n])
+    enc = esub.add_parser("encode", help="integer to window", parents=[m, n, budget])
     enc.add_argument("x", type=_integer)
     esub.add_parser("decode", help="window to integer", parents=[m]).add_argument("window")
 
     command("rank", _cmd_rank, "1-based rank of a window", m).add_argument("window")
-    p = command("unrank", _cmd_unrank, "window at a 1-based rank", m, n)
+    p = command("unrank", _cmd_unrank, "window at a 1-based rank", m, n, budget)
     p.add_argument("rank", type=_integer)
 
     p = command("stats", _cmd_stats, "all statistics of a window, as JSON", m)
@@ -131,10 +131,19 @@ def _cmd_convert(args) -> int:
     return EXIT_OK
 
 
+def _require_work(work: int, unit: str, n: int, budget: int) -> None:
+    """BudgetExceeded when a command's ``work`` at width ``n`` passes ``budget``."""
+    if work > budget:
+        raise BudgetExceeded(
+            f"{_decimal(work)} {unit} at n = {_decimal(n)} exceed budget {_decimal(budget)}"
+        )
+
+
 def _cmd_element(args) -> int:
     if args.action == "encode":
         if args.x < 0:
             raise DigitBoundError(f"{_decimal(args.x)} is negative")
+        _require_work(args.n, "digits", args.n, args.budget)
         print(element_of_integer(args.x, args.m, args.n).window())
     else:
         print(integer_of_element(parse_window(args.window, args.m)))
@@ -147,6 +156,7 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_unrank(args) -> int:
+    _require_work(args.n * (args.n - 1) // 2, "list moves", args.n, args.budget)
     print(unrank(args.rank, args.m, args.n).window())
     return EXIT_OK
 

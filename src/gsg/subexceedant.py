@@ -7,11 +7,17 @@ factor ``(1 f(1))`` applies first).  Splitting each mixed-radix digit as
 ``d = m*(f-1) + color`` extends this to a bijection between n-digit strings
 and colored permutations, hence between the integers ``0 .. m**n * n! - 1``
 and the group.
+
+Both directions are one walk over i = n down to 1.  Composing on the right,
+``W := W o (i f(i))``, swaps the window's *positions* i and f(i), so the
+product is Durstenfeld's in-place shuffle of the identity window (Knuth,
+TAOCP vol. 2, 3.4.2, Algorithm P); the inverse replays the same swaps.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import index
 
 from .group_core import GroupElement
 from .mixed_radix import MixedRadixNumber, _decimal, _echo, decode, encode_width
@@ -31,76 +37,68 @@ def psi(f: Sequence[int]) -> tuple[int, ...]:
 
     ``f`` is the values ``f(1)..f(n)``, any sequence of ints, and the result
     the window, a tuple.  An empty ``f`` or an ``f(i)`` outside ``1..i``
-    raises ``ValueError``, a float ``TypeError``.  The values are checked
-    once, up front; :func:`_swap` then applies each transposition
-    ``(i f(i))`` on the left, swapping the values ``i`` and ``f(i)``.
+    raises ``ValueError``, a float or other non-int ``TypeError``.  The
+    values are read once and checked up front; the walk of
+    :func:`element_of_digits` at ``m = 1`` then swaps positions i and f(i)
+    for i = n down to 1.
     """
+    f = tuple(f)
     if not f:
         raise ValueError("need at least one value")
     for i, fi in enumerate(f, start=1):
         if not 1 <= fi <= i:
             raise ValueError(f"f({i}) = {_decimal(fi)} outside 1..{i}")
-    return _swap(f)
-
-
-def _swap(f: Sequence[int]) -> tuple[int, ...]:
-    """``psi(f)`` for values already in range."""
-    n = len(f)
-    window = list(range(1, n + 1))
-    pos = [0] + list(range(n))  # pos[v] = 0-based index of value v; pos[0] unused
-    for i, fi in enumerate(f, start=1):
-        pi, pf = pos[i], pos[fi]
-        window[pi], window[pf] = window[pf], window[pi]
-        pos[i], pos[fi] = pf, pi
-    return tuple(window)
+    d = MixedRadixNumber._unchecked(1, tuple([index(fi) - 1 for fi in f]))
+    return element_of_digits(d).beta
 
 
 def psi_inverse(beta: Sequence[int]) -> tuple[int, ...]:
     """The tuple ``f`` with ``psi(f) == beta``, for a permutation's window ``beta``.
 
-    The fix-point reduction loop, working down from ``i = n``: read off
-    ``f(i)`` as the image of ``i``, then swap that image with the entry
-    currently mapping to ``i``, making ``i`` a fixed point that the next
-    round ignores.
+    The walk of :func:`digits_of_element` at ``m = 1``: it replays psi's
+    position swaps from the identity, reading each ``f(i)`` on the way.
     """
     n = len(beta)
     if not n or sorted(beta) != list(range(1, n + 1)):
         raise ValueError(f"need a permutation of 1..n with n >= 1, got {_echo(tuple(beta))}")
-    return _reduce(beta)
-
-
-def _reduce(beta: tuple[int, ...]) -> tuple[int, ...]:
-    """``psi_inverse(beta)`` for a permutation ``beta`` already checked."""
-    n = len(beta)
-    window = list(beta)
-    pos = [0] * (n + 1)
-    for idx, v in enumerate(window):
-        pos[v] = idx
-    # step i moves f(i) = window[i-1] to where i was; neither position i-1
-    # nor pos[i] is read again, so window ends as the values f(1)..f(n)
-    for i in range(n, 0, -1):
-        v, p = window[i - 1], pos[i]
-        window[p] = v
-        pos[v] = p
-    return tuple(window)
+    d = digits_of_element(GroupElement._unchecked(1, n, tuple(beta), (0,) * n))
+    return tuple([digit + 1 for digit in d.digits])
 
 
 def element_of_digits(d: MixedRadixNumber) -> GroupElement:
     """The colored permutation encoded by an n-digit string.
 
-    Digit ``d_{i-1} < m*i`` splits as ``m*(f(i)-1) + color_i``, so ``f(i) <= i``;
-    the permutation part is the image of ``f`` under ``psi``, unchecked.
+    Digit ``d_i < m*(i+1)`` (0-based) splits as ``m*j + color``, so ``j <= i``
+    is ``f(i+1) - 1``.  Starting from the identity window, the walk swaps
+    positions i and j for i = n-1 down to 0, unchecked.
     """
-    m, digits = d.m, d.digits
-    beta = _swap([digit // m + 1 for digit in digits])
-    return GroupElement._unchecked(m, d.n, beta, tuple([digit % m for digit in digits]))
+    m, digits, n = d.m, d.digits, d.n
+    beta = list(range(1, n + 1))
+    for i in range(n - 1, -1, -1):
+        j = digits[i] // m
+        beta[i], beta[j] = beta[j], beta[i]
+    return GroupElement._unchecked(m, n, tuple(beta), tuple([digit % m for digit in digits]))
 
 
 def digits_of_element(w: GroupElement) -> MixedRadixNumber:
-    """Inverse of :func:`element_of_digits`: ``d_{i-1} = m*(f(i)-1) + color_i``."""
-    m = w.m
-    digits = tuple([m * (fi - 1) + r for fi, r in zip(_reduce(w.beta), w.colors)])
-    return MixedRadixNumber._unchecked(m, digits)
+    """Inverse of :func:`element_of_digits`: ``d_i = m*j + color_i``.
+
+    The walk replays the swaps from the identity window, with ``pos[v]`` the
+    0-based position of value v.  Swap i leaves ``beta[i]`` at position i
+    for good, so ``j = pos[beta[i]]``; position i and ``beta[i]`` are never
+    read again, and only the value moved to j is written back.
+    """
+    m, beta, colors = w.m, w.beta, w.colors
+    n = len(beta)
+    window = list(range(1, n + 1))
+    pos = list(range(-1, n))  # pos[0] unused
+    digits = [0] * n
+    for i in range(n - 1, -1, -1):
+        j = pos[beta[i]]
+        window[j] = v = window[i]
+        pos[v] = j
+        digits[i] = m * j + colors[i]
+    return MixedRadixNumber._unchecked(m, tuple(digits))
 
 
 def integer_of_element(w: GroupElement) -> int:

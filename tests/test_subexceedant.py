@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from gsg.group_core import GroupElement, enumerate_group, identity, longest_element, parse_window
 from gsg.mixed_radix import _LEAF, MixedRadixNumber, decode
 from gsg.subexceedant import (
-    _reduce,
     digits_of_element,
     element_of_digits,
     element_of_integer,
@@ -86,10 +86,13 @@ def test_subexceedant_validation():
 
 def test_psi_takes_any_sequence_of_ints():
     assert psi([1, 1, 2, 1, 1]) == (3, 4, 2, 5, 1)
+    assert psi(iter([1, 1, 2, 1, 1])) == (3, 4, 2, 5, 1)  # read once
     beta = psi((True, 1))  # a bool acts as an int; the window holds ints only
     assert beta == (2, 1) and all(type(v) is int for v in beta)
     with pytest.raises(TypeError):
         psi((1, 1.0))
+    with pytest.raises(TypeError):
+        psi((1, Fraction(3, 2)))
 
 
 @given(st.lists(st.integers(0, 8), min_size=1, max_size=7).map(tuple))
@@ -186,9 +189,24 @@ def test_integer_correspondence_is_bijective(m, n):
         assert integer_of_element(element_of_integer(x, m, n)) == x
 
 
+def swap_oracle(f):
+    """Oracle for ``psi``: apply each transposition ``(i f(i))`` on the left,
+    for i = 1..n, by swapping the *values* i and f(i) through an index of
+    their positions; ``psi`` swaps positions instead, for i = n down to 1."""
+    n = len(f)
+    window = list(range(1, n + 1))
+    pos = [0] + list(range(n))  # pos[v] = 0-based index of value v; pos[0] unused
+    for i, fi in enumerate(f, start=1):
+        pi, pf = pos[i], pos[fi]
+        window[pi], window[pf] = window[pf], window[pi]
+        pos[i], pos[fi] = pf, pi
+    return tuple(window)
+
+
 def reduce_swap_oracle(beta):
-    """Oracle for ``_reduce``: the full swap loop, which keeps the window and
-    the position index whole at every step."""
+    """Oracle for ``psi_inverse``: the fix-point reduction from i = n down,
+    which makes i a fixed point by a value swap and keeps the window and the
+    position index whole at every step."""
     n = len(beta)
     window = list(beta)
     pos = [0] * (n + 1)
@@ -215,28 +233,27 @@ def permutations_up_to(n_max):
 @settings(max_examples=80, deadline=None)
 @given(permutations_up_to(2000))
 def test_reduce_matches_swap_oracle_property(beta):
-    values = _reduce(beta)
+    values = psi_inverse(beta)
     assert values == reduce_swap_oracle(beta)
-    assert psi(psi_inverse(beta)) == beta
-    assert psi_inverse(beta) == values
+    assert psi(values) == beta
 
 
 def element_of_integer_chain(x, m, n):
-    """Oracle: digits by the plain division loop, then the checked ``psi``
-    over a generator and the checked element constructor."""
+    """Oracle: digits by the plain division loop, then the value-swap
+    ``swap_oracle`` and the checked element constructor."""
     digits = []
     for i in range(1, n + 1):
         x, d = divmod(x, m * i)
         digits.append(d)
     assert x == 0
-    beta = psi(tuple(d // m + 1 for d in digits))
+    beta = swap_oracle(tuple(d // m + 1 for d in digits))
     return GroupElement(m, n, beta, tuple(d % m for d in digits))
 
 
 def integer_of_element_chain(w):
-    """Oracle: the checked ``psi_inverse``, then the plain digit loop."""
+    """Oracle: the fix-point ``reduce_swap_oracle``, then the plain digit loop."""
     m = w.m
-    digits = [m * (fi - 1) + r for fi, r in zip(psi_inverse(w.beta), w.colors)]
+    digits = [m * (fi - 1) + r for fi, r in zip(reduce_swap_oracle(w.beta), w.colors)]
     x = 0
     for i in range(w.n, 0, -1):
         x = x * (m * i) + digits[i - 1]
@@ -273,3 +290,12 @@ def test_integer_correspondence_matches_the_chain_property(m, n, data):
     y = integer_of_element(v)
     assert y == integer_of_element_chain(v)
     assert element_of_integer(y, m, n) == v
+
+
+@settings(max_examples=60, deadline=None)
+@given(CHAIN_WIDTHS, st.randoms(use_true_random=False))
+def test_psi_matches_the_value_swap_oracle_property(n, rnd):
+    f = tuple(rnd.randint(1, i) for i in range(1, n + 1))
+    beta = psi(f)
+    assert beta == swap_oracle(f)
+    assert psi_inverse(beta) == f
