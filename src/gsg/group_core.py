@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from operator import index
@@ -245,14 +244,14 @@ def longest_element(m: int, n: int) -> GroupElement:
 
 
 def _earlier_smaller(beta: Sequence[int]) -> list[int]:
-    """The count ``s_p`` of earlier smaller values at each position: one
-    binary search each in the sorted earlier values."""
-    earlier: list[int] = []
+    """The count ``s_p`` of earlier smaller values at each position (values
+    >= 0): a popcount of ``seen``, whose bit v is set once v has gone by."""
+    seen = 0
     below = []
     for b in beta:
-        s = bisect_left(earlier, b)
-        earlier.insert(s, b)
-        below.append(s)
+        bit = 1 << b
+        below.append((seen & (bit - 1)).bit_count())
+        seen |= bit
     return below
 
 
@@ -260,12 +259,13 @@ def canonical_length(w: GroupElement) -> int:
     """Length of the shortest positive word in ``t_1, s_1, .., s_{n-1}``.
 
     Bagno's closed form: ``inv(key) + sum over colored positions k of
-    (beta_k + c_k - 1)``, with the key ``-beta_k`` at colored positions and
-    ``beta_k`` elsewhere; ``inv(key)`` from one :func:`_earlier_smaller` pass.
+    (beta_k + c_k - 1)``, with the key ``n + 1 - beta_k`` at colored positions
+    and ``n + beta_k`` elsewhere; ``inv(key)`` from one :func:`_earlier_smaller` pass.
     """
-    key = [-b if c else b for b, c in zip(w.beta, w.colors)]
+    n = w.n
+    key = [n + 1 - b if c else n + b for b, c in zip(w.beta, w.colors)]
     colored = sum(b + c - 1 for b, c in zip(w.beta, w.colors) if c)
-    return w.n * (w.n - 1) // 2 - sum(_earlier_smaller(key)) + colored
+    return n * (n - 1) // 2 - sum(_earlier_smaller(key)) + colored
 
 
 def enumerate_group(

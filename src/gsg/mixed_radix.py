@@ -182,6 +182,7 @@ class MixedRadixNumber(Value):
     @classmethod
     def from_text(cls, text: str, m: int) -> "MixedRadixNumber":
         """Parse the colon-separated, most-significant-first text form."""
+        m = index(m)
         parts = text.split(":")
         width = _digit_count(m * len(parts) - 1)  # of the largest bound
         digits = []

@@ -17,13 +17,14 @@ the flag-major index.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import accumulate
 from operator import index, sub
 
 from .errors import BudgetExceeded, IndexOutOfRange, RankOutOfRange
 from .group_core import DEFAULT_BUDGET, GroupElement, _earlier_smaller, group_order
-from .mixed_radix import MixedRadixNumber, Value, _decimal, _decode, _encode, _quote, slot_setters
+from .mixed_radix import (
+    MixedRadixNumber, Value, _decimal, _decode, _encode, _new, _quote, slot_setters
+)
 
 __all__ = [
     "QPolynomial",
@@ -160,17 +161,17 @@ def _inversions(w: GroupElement) -> list[int]:
     """Every i-inversion number in position order, in one pass.
 
     The entry at 0-based position p is :func:`inv_closed` with i = n - p;
-    the earlier values are kept sorted, so the count ``s`` of earlier
-    smaller values is one binary search.
+    bit v of ``seen`` is set once v has gone by, so the popcount of
+    ``seen >> b`` counts the earlier larger values and p minus it the smaller.
     """
     m = w.m
-    earlier: list[int] = []
+    seen = 0
     out = []
     p = 0
     for b, c in zip(w.beta, w.colors):
-        s = bisect_left(earlier, b)
-        earlier.insert(s, b)
-        out.append(c + (m * s if c else 0) + (p - s))
+        larger = (seen >> b).bit_count()
+        seen |= 1 << b
+        out.append(c + (m * (p - larger) if c else 0) + larger)
         p += 1
     return out
 
@@ -251,7 +252,7 @@ def fmaj(w: GroupElement) -> int:
     """The flag-major index, the sum of :func:`fmaj_exponents`, in Adin and
     Roichman's closed form ``m * maj + sum(colors)``: maj sums the positions
     p whose key ``value - color*(n+1)`` (the order of ``(-color, value)``)
-    exceeds the next one.  One pass, no bisect and no walk."""
+    exceeds the next one.  One pass, no count of earlier values and no walk."""
     shift = w.n + 1
     maj = prev = p = 0
     for b, c in zip(w.beta, w.colors):
@@ -290,11 +291,17 @@ class QPolynomial(Value):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: tuple[int, ...]):
-        coeffs = tuple(coeffs)
+        coeffs = tuple(map(index, coeffs))
         end = len(coeffs)
         while end and coeffs[end - 1] == 0:
             end -= 1
         _set_coeffs(self, coeffs[:end])
+
+    @staticmethod
+    def _unchecked(coeffs: tuple[int, ...]) -> "QPolynomial":
+        obj = _new(QPolynomial)
+        _set_coeffs(obj, coeffs)
+        return obj
 
     @property
     def degree(self) -> int:
@@ -340,7 +347,7 @@ def poincare(m: int, n: int, budget: int = DEFAULT_BUDGET) -> QPolynomial:
     coeffs = [1]
     for k in range(m, m * n + 1, m):
         coeffs = _window_sums(coeffs, k)
-    return QPolynomial(tuple(coeffs))
+    return QPolynomial._unchecked(tuple(coeffs))  # ints, the last one 1
 
 
 def histogram(

@@ -56,12 +56,13 @@ def psi_inverse(beta: Sequence[int]) -> tuple[int, ...]:
     """The tuple ``f`` with ``psi(f) == beta``, for a permutation's window ``beta``.
 
     The walk of :func:`digits_of_element` at ``m = 1``: it replays psi's
-    position swaps from the identity, reading each ``f(i)`` on the way.
+    position swaps from the identity, reading each ``f(i)`` on the way.  The
+    values go through ``operator.index`` once checked, as in :func:`psi`.
     """
     n = len(beta)
     if not n or sorted(beta) != list(range(1, n + 1)):
         raise ValueError(f"need a permutation of 1..n with n >= 1, got {_echo(tuple(beta))}")
-    d = digits_of_element(GroupElement._unchecked(1, n, tuple(beta), (0,) * n))
+    d = digits_of_element(GroupElement._unchecked(1, n, tuple(map(index, beta)), (0,) * n))
     return tuple([digit + 1 for digit in d.digits])
 
 

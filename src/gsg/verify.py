@@ -8,13 +8,14 @@ i = n down to 1: "oracle agreement" compares the counts with its
 :func:`inversion_table` digits, least significant first, and "length
 additivity" their sum with its :func:`length_L`.  That sum is also the
 ``inv`` value the equidistribution tally counts, so a wrong root count moves
-the tally too.  The budget is checked once, before any other work.  The
-per-element checks and both equidistribution histograms share one pass over
-the group, taken in chunks of ``_CHUNK`` elements: each check maps its own
-functions over the whole chunk before the next check starts, so a fault
-fails one check alone, and a failed check skips its comparisons in the
-chunks after it (the root counts are still built, for the tally).  Memory is
-bounded by one chunk of elements and the lists built from it.
+the tally too.  The budget counts root tests, |G| * max(1, |Delta|), and is
+checked once, before any other work.  The per-element checks and both
+equidistribution histograms share one pass over the group, taken in chunks
+of ``_CHUNK`` elements: each check maps its own functions over the whole
+chunk before the next check starts, so a fault fails one check alone, and a
+failed check skips its comparisons in the chunks after it (the root counts
+are still built, for the tally).  Memory is bounded by one chunk of elements
+and the lists built from it.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from collections import Counter
 from itertools import combinations, islice, repeat
 from operator import eq
 
+from .errors import BudgetExceeded
 from .group_core import (
     DEFAULT_BUDGET,
     enumerate_group,
@@ -34,6 +36,7 @@ from .group_core import (
     multiply,
     power,
 )
+from .mixed_radix import _decimal
 from .statistics import (
     _negatives,
     delta_block,
@@ -71,7 +74,14 @@ def run_property_checks(
     m: int, n: int, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[str, bool]]:
     """Run the invariant sweep over the whole group; (name, passed) pairs."""
-    elements = enumerate_group(m, n, budget)  # checks the budget before any work
+    # each element is tested against all |Delta| = m*n*(n+1)/2 - n roots
+    roots = max(1, m * n * (n + 1) // 2 - n)
+    try:  # m and n first, then order * roots <= budget, before any work
+        elements = enumerate_group(m, n, budget // roots)
+    except BudgetExceeded:
+        raise BudgetExceeded(
+            f"root tests for G({_decimal(m)},1,{_decimal(n)}) exceed budget {_decimal(budget)}"
+        ) from None
     e = identity(m, n)
     order = group_order(m, n)
     inverse_ok = rank_ok = oracle_ok = additive_ok = True

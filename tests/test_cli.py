@@ -617,6 +617,24 @@ def test_budget_of_unrank_and_element_encode_is_exact(capsys, argv, n, budget):
     assert run(capsys, *argv)[0] == 0  # the default budget, 10^6
 
 
+# verify tests each element against all |Delta| = m*n*(n+1)/2 - n roots: at
+# n = 1 a group of m elements costs m*(m-1) root tests
+@pytest.mark.parametrize("m,n", [("1000000", "1"), ("2", "100000000000")])
+def test_verify_budget_counts_root_tests_before_any_work(capsys, monkeypatch, m, n):
+    monkeypatch.setattr(gsg.verify, "multiply", lambda *args: pytest.fail("ran past the budget"))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--m", m, "--n", n)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (4, "")
+    assert err == f"error: root tests for G({m},1,{n}) exceed budget 1000000\n"
+
+
+def test_verify_budget_is_exact(capsys):
+    # G(3,1,3): 162 elements times 15 roots
+    assert run(capsys, "verify", "--m", "3", "--n", "3", "--budget", "2430")[:2] == (0, VERIFY_3_3)
+    assert run(capsys, "verify", "--m", "3", "--n", "3", "--budget", "2429")[:2] == (4, "")
+
+
 def test_stats_word_length_needs_no_budget(capsys):
     # G(2,1,8) has 10,321,920 elements, past the default budget of the sweeping commands
     window = " ".join(f"[1]{v}" for v in range(1, 9))

@@ -867,6 +867,29 @@ def test_fmaj_closed_form_matches_flag_walk_property(w):
     assert fmaj(w) == sum(fmaj_exponents(w))
 
 
+# the kernel's bitmask has a bit per value, stored in 30-bit digits: values
+# 30 and 60 are the first bits of the second and third digit
+@settings(deadline=None)
+@given(large_elements())
+@example(seeded_element(1, 29, 29))
+@example(seeded_element(1, 30, 30))
+@example(seeded_element(1, 31, 31))
+@example(seeded_element(1, 61, 61))
+def test_earlier_smaller_matches_the_quadratic_count_property(w):
+    beta = w.beta
+    assert _earlier_smaller(beta) == [sum(x < b for x in beta[:p]) for p, b in enumerate(beta)]
+
+
+@settings(deadline=None)
+@given(large_elements(max_n=300))
+def test_canonical_length_matches_bagnos_formula_property(w):
+    # inv of the key -beta_k at colored positions, beta_k elsewhere, pair by pair
+    key = [-b if c else b for b, c in zip(w.beta, w.colors)]
+    inversions = sum(x > y for p, x in enumerate(key) for y in key[p + 1 :])
+    colored = sum(b + c - 1 for b, c in zip(w.beta, w.colors) if c)
+    assert canonical_length(w) == inversions + colored
+
+
 @given(elements())
 def test_sweep_terms_give_each_element_its_values_property(w):
     assert position_terms(w) == [inv_closed(w, w.n - p) for p in range(w.n)]

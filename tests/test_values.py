@@ -4,7 +4,8 @@ Equality is by class and fields, hashing agrees with equality, fields
 cannot be assigned or deleted, the constructors keep their checks, take
 integers only, and the library's unchecked build path makes objects equal
 to checked ones.  The messages of ``psi``'s checks on the subexceedant
-values it is given are pinned here too.
+values it is given, and of ``psi_inverse``'s on its window, are pinned here
+too.
 """
 
 import copy
@@ -20,7 +21,7 @@ from gsg.group_core import (
 )
 from gsg.mixed_radix import MixedRadixNumber, encode, encode_width, weights
 from gsg.statistics import QPolynomial, unrank
-from gsg.subexceedant import psi
+from gsg.subexceedant import psi, psi_inverse
 
 
 @st.composite
@@ -50,7 +51,7 @@ FIELDS = {
     QPolynomial: polynomial_fields(),
 }
 CLASSES = list(FIELDS)
-UNCHECKED = [MixedRadixNumber, GroupElement]
+UNCHECKED = [MixedRadixNumber, GroupElement, QPolynomial]
 
 
 def fields_of(obj):
@@ -118,6 +119,9 @@ def test_repr_names_the_fields():
     assert repr(QPolynomial((1, 2, 0))) == "QPolynomial(coeffs=(1, 2))"
 
 
+NOT_AN_INT = "'float' object cannot be interpreted as an integer"
+
+
 @pytest.mark.parametrize(
     "build, error, message",
     [
@@ -142,6 +146,10 @@ def test_repr_names_the_fields():
         (lambda: psi(()), ValueError, "need at least one value"),
         (lambda: psi((1, 3)), ValueError, "f(2) = 3 outside 1..2"),
         (lambda: psi((float("inf"),)), ValueError, "f(1) = inf outside 1..1"),
+        # integers go through operator.index: a float is refused, not read as an index
+        (lambda: psi_inverse((1.0, 2.0)), TypeError, NOT_AN_INT),
+        (lambda: MixedRadixNumber.from_text("1:0", 2.0), TypeError, NOT_AN_INT),
+        (lambda: QPolynomial((1.5,)), TypeError, NOT_AN_INT),
     ],
 )
 def test_constructor_checks_keep_their_errors(build, error, message):
