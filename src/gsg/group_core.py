@@ -209,7 +209,7 @@ def power(u: GroupElement, k: int) -> GroupElement:
 
 def gen_s(m: int, n: int, i: int) -> GroupElement:
     """The color-free adjacent transposition swapping ``i`` and ``i+1``."""
-    if not 1 <= i <= n - 1:
+    if not 1 <= (i := index(i)) <= n - 1:
         raise IndexOutOfRange(f"transposition index {_decimal(i)} outside 1..{_decimal(n - 1)}")
     beta = list(range(1, n + 1))
     beta[i - 1], beta[i] = beta[i], beta[i - 1]
@@ -221,10 +221,10 @@ def gen_t(m: int, n: int, i: int) -> GroupElement:
 
     With m = 1 there are no colors and this is the identity.
     """
-    if not 1 <= i <= n:
+    if not 1 <= (i := index(i)) <= n:
         raise IndexOutOfRange(f"color generator index {_decimal(i)} outside 1..{_decimal(n)}")
     colors = [0] * n
-    colors[i - 1] = 1 % m
+    colors[i - 1] = int(m > 1)  # m = 1 has no colors; m < 1 fails below
     return GroupElement(m, n, tuple(range(1, n + 1)), tuple(colors))
 
 

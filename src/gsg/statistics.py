@@ -149,7 +149,7 @@ def inv_closed(w: GroupElement, i: int) -> int:
     At position ``p = n+1-i``: the color there, plus m per earlier smaller
     value when that color is nonzero, plus one per earlier larger value.
     """
-    if not 1 <= i <= w.n:
+    if not 1 <= (i := index(i)) <= w.n:
         raise IndexOutOfRange(f"inversion index {_decimal(i)} outside 1..{w.n}")
     p = w.n - i  # the p above, 0-based
     b_p, r_p = w.beta[p], w.colors[p]
@@ -201,7 +201,7 @@ def unrank(r: int, m: int, n: int) -> GroupElement:
     m - 1)`` gives the index among the remaining values in ascending order
     and the color minus 1.  O(n^2) in all.
     """
-    m, n = index(m), index(n)
+    r, m, n = index(r), index(m), index(n)
     order = group_order(m, n)
     if not 1 <= r <= order:
         raise RankOutOfRange(f"rank {_decimal(r)} outside 1..{_decimal(order)}")

@@ -11,18 +11,18 @@ additivity" their sum with its :func:`length_L`.  That sum is also the
 the tally too.  The budget counts root tests, |G| * max(1, |Delta|), and is
 checked once, before any other work.  The per-element checks and both
 equidistribution histograms share one pass over the group, taken in chunks
-of ``_CHUNK`` elements: each check maps its own functions over the whole
-chunk before the next check starts, so a fault fails one check alone, and a
-failed check skips its comparisons in the chunks after it (the root counts
-are still built, for the tally).  Memory is bounded by one chunk of elements
-and the lists built from it.
+of ``_CHUNK`` elements: each chunk's columns are built whole, one function
+mapped over the chunk at a time, and each check then compares one computed
+column with its expected one, so a fault fails one check alone.  A failed
+check still builds its columns in the chunks after it but is not compared
+again.  ``_CHECKS`` fixes the order the results are returned and printed in.
+Memory is bounded by one chunk of elements and the lists built from it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations, islice, repeat
-from operator import eq
 
 from .errors import BudgetExceeded
 from .group_core import (
@@ -51,6 +51,11 @@ from .statistics import (
 __all__ = ["run_property_checks"]
 
 _CHUNK = 256  # elements per column-wise pass of run_property_checks
+
+_CHECKS = (  # in the order gsg verify prints them
+    "presentation relations", "oracle agreement", "inverse law", "rank bijection",
+    "equidistribution inv/fmaj/poincare", "length additivity",
+)
 
 
 def _check_presentation(m: int, n: int) -> bool:
@@ -84,38 +89,30 @@ def run_property_checks(
         ) from None
     e = identity(m, n)
     order = group_order(m, n)
-    inverse_ok = rank_ok = oracle_ok = additive_ok = True
+    passed = dict.fromkeys(_CHECKS, True)
     # least significant first, as inversion_table's digits; delta is the union
     # of these blocks by construction, so their counts sum to the length
     blocks = [delta_block(m, n, i) for i in range(n, 0, -1)]
     inv_counts, fmaj_counts = Counter(), Counter()
     while chunk := list(islice(elements, _CHUNK)):
-        if inverse_ok:
-            inverses = list(map(inverse, chunk))
-            inverse_ok = all(map(eq, map(multiply, inverses, chunk), repeat(e))) and all(
-                map(eq, map(multiply, chunk, inverses), repeat(e))
-            )
-        if rank_ok:
-            ranks = list(map(rank, chunk))
-            # unrank undoing rank makes rank one-to-one, so onto 1..order if inside it
-            rank_ok = (
-                1 <= min(ranks)
-                and max(ranks) <= order
-                and list(map(unrank, ranks, repeat(m), repeat(n))) == chunk
-            )
         rows = list(zip(*(map(_negatives, chunk, repeat(block)) for block in blocks)))
-        oracle_ok = oracle_ok and rows == [t.digits for t in map(inversion_table, chunk)]
         inv_values = list(map(sum, rows))
-        additive_ok = additive_ok and list(map(length_L, chunk)) == inv_values
+        inverses = list(map(inverse, chunk))
+        products = [*map(multiply, inverses, chunk), *map(multiply, chunk, inverses)]
+        ranks = list(map(rank, chunk))
+        # unrank undoing rank makes rank one-to-one, so onto 1..order if inside
+        # it; outside, unrank would refuse a rank, and the column is False
+        in_range = 1 <= min(ranks) and max(ranks) <= order
+        for name, computed, expected in [
+            ("oracle agreement", [t.digits for t in map(inversion_table, chunk)], rows),
+            ("inverse law", products, [e] * 2 * len(chunk)),
+            ("rank bijection", in_range and list(map(unrank, ranks, repeat(m), repeat(n))), chunk),
+            ("length additivity", list(map(length_L, chunk)), inv_values),
+        ]:
+            passed[name] = passed[name] and computed == expected
         inv_counts.update(inv_values)
         fmaj_counts.update(map(fmaj, chunk))
+    passed["presentation relations"] = _check_presentation(m, n)
     expected = {k: c for k, c in enumerate(poincare(m, n).coeffs) if c}
-    equidistributed = inv_counts == expected and fmaj_counts == expected
-    return [
-        ("presentation relations", _check_presentation(m, n)),
-        ("oracle agreement", oracle_ok),
-        ("inverse law", inverse_ok),
-        ("rank bijection", rank_ok),
-        ("equidistribution inv/fmaj/poincare", equidistributed),
-        ("length additivity", additive_ok),
-    ]
+    passed["equidistribution inv/fmaj/poincare"] = inv_counts == expected == fmaj_counts
+    return list(passed.items())

@@ -415,6 +415,35 @@ def test_verify_makes_few_inversion_passes_per_element(monkeypatch, m, n, passes
     assert len(calls) == passes * group_order(m, n)
 
 
+def count_calls(patch, names):
+    """Count the calls through each of ``names`` in ``gsg.verify``."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, name=name, real=getattr(gsg.verify, name)):
+            calls[name] += 1
+            return real(*args)
+
+        patch.setattr(gsg.verify, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("m,n", [(3, 3), (2, 4)])
+def test_verify_computes_each_column_once_per_element(m, n):
+    order = group_order(m, n)
+    with pytest.MonkeyPatch.context() as patch:
+        presentation = count_calls(patch, ["multiply"])
+        assert gsg.verify._check_presentation(m, n)
+    per_element = ["inverse", "rank", "unrank", "inversion_table", "length_L", "fmaj"]
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_calls(patch, per_element + ["_negatives", "multiply"])
+        assert all(ok for _, ok in run_property_checks(m, n))
+    assert calls == {
+        **dict.fromkeys(per_element, order),
+        "_negatives": n * order,
+        "multiply": 2 * order + presentation["multiply"],
+    }
+
+
 def test_verify_tally_stays_right_after_both_root_checks_fail(monkeypatch):
     # the first element is wrong in inversion_table and length_L alike; the
     # inv tally reads the block root counts, which stay right in every chunk

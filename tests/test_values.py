@@ -10,6 +10,7 @@ too.
 
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -17,10 +18,10 @@ from hypothesis import strategies as st
 
 from gsg.errors import DigitBoundError
 from gsg.group_core import (
-    GroupElement, enumerate_group, gen_t, group_order, identity, parse_window, power
+    GroupElement, enumerate_group, gen_s, gen_t, group_order, identity, parse_window, power
 )
 from gsg.mixed_radix import MixedRadixNumber, encode, encode_width, weights
-from gsg.statistics import QPolynomial, unrank
+from gsg.statistics import QPolynomial, inv_closed, unrank
 from gsg.subexceedant import psi, psi_inverse
 
 
@@ -150,6 +151,17 @@ NOT_AN_INT = "'float' object cannot be interpreted as an integer"
         (lambda: psi_inverse((1.0, 2.0)), TypeError, NOT_AN_INT),
         (lambda: MixedRadixNumber.from_text("1:0", 2.0), TypeError, NOT_AN_INT),
         (lambda: QPolynomial((1.5,)), TypeError, NOT_AN_INT),
+        # a rank of 5/2 would build a color of 3/2
+        (
+            lambda: unrank(Fraction(5, 2), 2, 3),
+            TypeError,
+            "'Fraction' object cannot be interpreted as an integer",
+        ),
+        (lambda: gen_s(2, 3, 1.0), TypeError, NOT_AN_INT),
+        (lambda: gen_t(2, 3, 1.0), TypeError, NOT_AN_INT),
+        (lambda: inv_closed(identity(2, 3), 1.0), TypeError, NOT_AN_INT),
+        # gen_t picks its color without dividing by m, so the constructor refuses m = 0
+        (lambda: gen_t(0, 3, 1), ValueError, "need m >= 1 and n >= 1, got (0, 3)"),
     ],
 )
 def test_constructor_checks_keep_their_errors(build, error, message):
