@@ -1,7 +1,8 @@
 """Command line surface: conversions, ranking, statistics, tables, sweeps.
 
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 range
-error, 4 budget exceeded.  Results go to stdout, diagnostics to stderr.
+error, 4 budget exceeded or out of memory.  Results go to stdout,
+diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from .errors import (
     RankOutOfRange,
     WindowParseError,
 )
-from .group_core import DEFAULT_BUDGET, _require_budget, canonical_length, parse_window
+from .group_core import (
+    DEFAULT_BUDGET, _order_within, _require_budget, canonical_length, parse_window
+)
 from .mixed_radix import _QUOTED, MixedRadixNumber, _decimal, _quote, decode, encode
 from .statistics import fmaj, fmaj_exponents, inversion_table, length_L, poincare, rank, unrank
 from .subexceedant import digits_of_element, element_of_integer, integer_of_element
@@ -131,19 +134,11 @@ def _cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def _require_work(work: int, unit: str, n: int, budget: int) -> None:
-    """BudgetExceeded when a command's ``work`` at width ``n`` passes ``budget``."""
-    if work > budget:
-        raise BudgetExceeded(
-            f"{_decimal(work)} {unit} at n = {_decimal(n)} exceed budget {_decimal(budget)}"
-        )
-
-
 def _cmd_element(args) -> int:
     if args.action == "encode":
         if args.x < 0:
             raise DigitBoundError(f"{_decimal(args.x)} is negative")
-        _require_work(args.n, "digits", args.n, args.budget)
+        _require_budget(args.n, "digits", args.m, args.n, args.budget)
         print(element_of_integer(args.x, args.m, args.n).window())
     else:
         print(integer_of_element(parse_window(args.window, args.m)))
@@ -156,7 +151,7 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_unrank(args) -> int:
-    _require_work(args.n * (args.n - 1) // 2, "list moves", args.n, args.budget)
+    _require_budget(args.n * (args.n - 1) // 2, "list moves", args.m, args.n, args.budget)
     print(unrank(args.rank, args.m, args.n).window())
     return EXIT_OK
 
@@ -181,8 +176,9 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    order = _require_budget(args.m, args.n, args.budget)
-    elements = (unrank(r, args.m, args.n) for r in range(1, order + 1))
+    m, n, budget = args.m, args.n, args.budget
+    order = _require_budget(_order_within(m, n, budget), "elements", m, n, budget)
+    elements = (unrank(r, m, n) for r in range(1, order + 1))
     rows = ((r, w.window(), str(inversion_table(w))) for r, w in enumerate(elements, 1))
     if args.format == "csv":
         for r, window, inv in rows:
@@ -245,8 +241,8 @@ def main(argv: list[str] | None = None) -> int:
     except (OverflowError, RankOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RANGE
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (BudgetExceeded, MemoryError) as exc:  # work within --budget can outgrow memory
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_BUDGET
     finally:
         if limit is not None:

@@ -34,4 +34,5 @@ class RankOutOfRange(GsgError, ValueError):
 
 
 class BudgetExceeded(GsgError, RuntimeError):
-    """A call would do more work (elements visited or coefficient updates) than allowed."""
+    """A call's counted work passes its budget: "N <unit> for G(m,1,n) exceed budget B",
+    in elements, root tests, coefficient updates, list moves or digits."""

@@ -128,19 +128,27 @@ def group_order(m: int, n: int) -> int:
     return _radix_product(m, 0, n)
 
 
-def _require_budget(m: int, n: int, budget: int) -> int:
-    """The order m^n n!, or :class:`BudgetExceeded` once the product of the
-    radices m*i passes ``budget``: O(log budget) steps for any n."""
+def _order_within(m: int, n: int, cap: int) -> int | None:
+    """The order m^n n!, or None once the product of the radices m*i passes
+    ``cap`` before i = n: O(log cap) steps for any n."""
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
     order = 1
     for i in range(1, n + 1):
         order *= m * i
-        if order > budget:
-            raise BudgetExceeded(
-                f"order of G({_decimal(m)},1,{_decimal(n)}) exceeds budget {_decimal(budget)}"
-            )
+        if order > cap and i < n:
+            return None
     return order
+
+
+def _require_budget(work: int | None, unit: str, m: int, n: int, budget: int) -> int:
+    """``work``, or :class:`BudgetExceeded` "N <unit> for G(m,1,n) exceed budget B"
+    past ``budget``; None, a product :func:`_order_within` cut short, leaves N out."""
+    if work is None or work > budget:
+        count = "" if work is None else f"{_decimal(work)} "
+        where = f"G({_decimal(m)},1,{_decimal(n)}) exceed budget {_decimal(budget)}"
+        raise BudgetExceeded(f"{count}{unit} for {where}")
+    return work
 
 
 def identity(m: int, n: int) -> GroupElement:
@@ -276,7 +284,7 @@ def enumerate_group(
     The budget is checked at call time, not at first iteration.
     """
     m, n = index(m), index(n)
-    _require_budget(m, n, budget)
+    _require_budget(_order_within(m, n, budget), "elements", m, n, budget)
     build = GroupElement._unchecked
     return (
         build(m, n, beta, colors)

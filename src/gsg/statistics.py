@@ -20,8 +20,8 @@ from __future__ import annotations
 from itertools import accumulate
 from operator import index, sub
 
-from .errors import BudgetExceeded, IndexOutOfRange, RankOutOfRange
-from .group_core import DEFAULT_BUDGET, GroupElement, _earlier_smaller, group_order
+from .errors import IndexOutOfRange, RankOutOfRange
+from .group_core import DEFAULT_BUDGET, GroupElement, _earlier_smaller, _require_budget, group_order
 from .mixed_radix import (
     MixedRadixNumber, Value, _decimal, _decode, _encode, _new, _quote, slot_setters
 )
@@ -332,18 +332,13 @@ def poincare(m: int, n: int, budget: int = DEFAULT_BUDGET) -> QPolynomial:
     """The product of the q-integers ``[im]_q`` for ``i = 1..n``, exactly.
 
     Multiplying by ``[k]_q`` is one :func:`_window_sums`, O(deg) per factor.
-    ``budget`` bounds the coefficient updates, ``n * (deg + 1)`` with ``deg =
-    m*n*(n+1)/2 - n`` the degree of the product; :class:`BudgetExceeded`
-    before any work.
+    ``budget`` counts coefficient updates, ``n * (deg + 1)`` with ``deg =
+    m*n*(n+1)/2 - n`` the degree of the product; past it :class:`BudgetExceeded`,
+    "N coefficient updates for G(m,1,n) exceed budget B", before any work.
     """
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
-    updates = n * (m * n * (n + 1) // 2 - n + 1)
-    if updates > budget:
-        raise BudgetExceeded(
-            f"{_decimal(updates)} coefficient updates for"
-            f" G({_decimal(m)},1,{_decimal(n)}) exceed budget {_decimal(budget)}"
-        )
+    _require_budget(n * (m * n * (n + 1) // 2 - n + 1), "coefficient updates", m, n, budget)
     coeffs = [1]
     for k in range(m, m * n + 1, m):
         coeffs = _window_sums(coeffs, k)

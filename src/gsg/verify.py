@@ -9,7 +9,9 @@ i = n down to 1: "oracle agreement" compares the counts with its
 additivity" their sum with its :func:`length_L`.  That sum is also the
 ``inv`` value the equidistribution tally counts, so a wrong root count moves
 the tally too.  The budget counts root tests, |G| * max(1, |Delta|), and is
-checked once, before any other work.  The per-element checks and both
+checked once, before any other work: past it, "N root tests for G(m,1,n)
+exceed budget B", without N where the order's product passed the budget
+before its last factor.  The per-element checks and both
 equidistribution histograms share one pass over the group, taken in chunks
 of ``_CHUNK`` elements: each chunk's columns are built whole, one function
 mapped over the chunk at a time, and each check then compares one computed
@@ -24,19 +26,18 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations, islice, repeat
 
-from .errors import BudgetExceeded
 from .group_core import (
     DEFAULT_BUDGET,
+    _order_within,
+    _require_budget,
     enumerate_group,
     gen_s,
     gen_t,
-    group_order,
     identity,
     inverse,
     multiply,
     power,
 )
-from .mixed_radix import _decimal
 from .statistics import (
     _negatives,
     delta_block,
@@ -81,14 +82,11 @@ def run_property_checks(
     """Run the invariant sweep over the whole group; (name, passed) pairs."""
     # each element is tested against all |Delta| = m*n*(n+1)/2 - n roots
     roots = max(1, m * n * (n + 1) // 2 - n)
-    try:  # m and n first, then order * roots <= budget, before any work
-        elements = enumerate_group(m, n, budget // roots)
-    except BudgetExceeded:
-        raise BudgetExceeded(
-            f"root tests for G({_decimal(m)},1,{_decimal(n)}) exceed budget {_decimal(budget)}"
-        ) from None
+    # order * roots <= budget exactly when order <= budget // roots
+    order = _order_within(m, n, budget // roots)
+    _require_budget(None if order is None else order * roots, "root tests", m, n, budget)
+    elements = enumerate_group(m, n, budget)
     e = identity(m, n)
-    order = group_order(m, n)
     passed = dict.fromkeys(_CHECKS, True)
     # least significant first, as inversion_table's digits; delta is the union
     # of these blocks by construction, so their counts sum to the length

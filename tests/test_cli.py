@@ -230,9 +230,9 @@ PASS length additivity
 VERIFY_GROUPS = [(3, 3), (1, 4), (2, 3), (4, 3), (2, 4), (3, 4), (1, 5)]
 
 
-@pytest.mark.parametrize("m,n,expected", [(m, n, VERIFY_3_3) for m, n in VERIFY_GROUPS])
-def test_verify_exact_output(capsys, m, n, expected):
-    assert run(capsys, "verify", "--m", str(m), "--n", str(n))[:2] == (0, expected)
+@pytest.mark.parametrize("m,n", VERIFY_GROUPS, ids=[f"{m}-{n}" for m, n in VERIFY_GROUPS])
+def test_verify_exact_output(capsys, m, n):
+    assert run(capsys, "verify", "--m", str(m), "--n", str(n))[:2] == (0, VERIFY_3_3)
 
 
 def test_verify_checks_budget_before_any_work(monkeypatch):
@@ -597,7 +597,11 @@ def test_range_errors_exit_3(capsys):
 
 def test_budget_errors_exit_4(capsys):
     code, _, err = run(capsys, "table", "--m", "3", "--n", "8", "--budget", "1000")
-    assert code == 4
+    assert (code, err) == (4, "error: elements for G(3,1,8) exceed budget 1000\n")
+    # the product reached n, so the message names the order
+    assert run(capsys, "table", "--m", "3", "--n", "3", "--budget", "100") == (
+        4, "", "error: 162 elements for G(3,1,3) exceed budget 100\n"
+    )
     code, out, err = run(capsys, "verify", "--m", "2", "--n", "60", "--budget", "10")
     assert code == 4
     assert out == "" and err.count("\n") == 1
@@ -624,10 +628,76 @@ def test_huge_n_exits_4_before_any_work(capsys, monkeypatch, argv, unit, work, n
     code, out, err = run_at_default_limit(capsys, *argv, "--n", n)
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (4, "")
-    number = with_int_limit(0, int, n)
-    expected = f"{_decimal(work(number))} {unit} at n = {_decimal(number)} exceed budget 1000000"
-    assert err == f"error: {expected}\n"
+    number, m = with_int_limit(0, int, n), argv[argv.index("--m") + 1]
+    expected = f"{_decimal(work(number))} {unit} for G({m},1,{_decimal(number)})"
+    assert err == f"error: {expected} exceed budget 1000000\n"
     assert len(err.encode()) < 200
+
+
+def test_memory_error_exits_4_with_one_line(capsys, monkeypatch):
+    # a budget this large lets element encode reach a width of 10^10 digits;
+    # the allocation is stood in for, never made
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(gsg.cli, "element_of_integer", out_of_memory)
+    big = ("--m", "10000000000", "--n", "10000000000", "--budget", "9" * 20)
+    assert run(capsys, "element", "encode", *big, "1") == (4, "", "error: out of memory\n")
+
+
+# (valid, malformed or boundary) token pools for the never-a-traceback
+# property; --budget stays at most 10^6, so no drawn argv does heavy work
+INTEGERS = (("1", "2", "3", "0001"), ("0", "-1", "1" + "0" * 20, "1.5", ""))
+BUDGETS = (("100", "1000000", "0001"), ("0", "-1", "1"))
+WINDOWS = (("2 1", "[1]2 1", "[2]3 1 2", "1"), ("1 1", "[0]1", "2  1", "[1]", ""))
+DIGIT_STRINGS = (("1:0", "0:1:2", "1:3"), ("9:9:9", "1::2", "", "x"))
+M, N, BUDGET = ("--m", INTEGERS), ("--n", INTEGERS), ("--budget", BUDGETS)
+# (command words, options with their token pools, positional token pools)
+GRAMMAR = [
+    (("convert",), [M, ("--to-digits", INTEGERS)], []),
+    (("convert",), [M, ("--to-int", DIGIT_STRINGS)], []),
+    (("element", "encode"), [M, N, BUDGET], [INTEGERS]),
+    (("element", "decode"), [M], [WINDOWS]),
+    (("rank",), [M], [WINDOWS]),
+    (("unrank",), [M, N, BUDGET], [INTEGERS]),
+    (("stats",), [M, ("--bfs", None)], [WINDOWS]),
+    (("table",), [M, N, BUDGET, ("--format", (("csv", "json"), ("xml",)))], []),
+    (("poincare",), [M, N, BUDGET], []),
+    (("verify",), [M, N, BUDGET], []),
+    (("text-encode",), [M], [(("HI", "a b"), ("\u00e9", ""))]),
+]
+
+
+@st.composite
+def argvs(draw):
+    """A command, then each of its options and positionals kept four times in
+    five, each token valid four times in five, the options in any order, and
+    now and then a stray token."""
+    words, options, positionals = draw(st.sampled_from(GRAMMAR))
+    often = lambda: draw(st.integers(0, 4)) > 0
+    token = lambda pools: draw(st.sampled_from(pools[0] if often() else pools[1]))
+    parts = [[flag, *([token(pools)] if pools else [])] for flag, pools in options if often()]
+    argv = [*words, *(t for part in draw(st.permutations(parts)) for t in part)]
+    argv += [token(pools) for pools in positionals if often()]
+    return argv + draw(st.sampled_from([[]] * 8 + [["--bogus"], ["--to-int", "1:0"]]))
+
+
+# capsys is read out after every command, so sharing it across examples is safe
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argvs())
+def test_never_a_traceback(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in range(5), argv
+    assert "Traceback" not in err, argv
 
 
 @pytest.mark.parametrize(
@@ -647,21 +717,28 @@ def test_budget_of_unrank_and_element_encode_is_exact(capsys, argv, n, budget):
 
 
 # verify tests each element against all |Delta| = m*n*(n+1)/2 - n roots: at
-# n = 1 a group of m elements costs m*(m-1) root tests
-@pytest.mark.parametrize("m,n", [("1000000", "1"), ("2", "100000000000")])
-def test_verify_budget_counts_root_tests_before_any_work(capsys, monkeypatch, m, n):
+# n = 1 a group of m elements costs m*(m-1) root tests. The count is named
+# when the order's product reached n, and left out when it stopped short
+@pytest.mark.parametrize(
+    "m,n,count",
+    [("1000000", "1", "999999000000 "), ("2", "100000000000", "")],
+    ids=["1000000-1", "2-100000000000"],
+)
+def test_verify_budget_counts_root_tests_before_any_work(capsys, monkeypatch, m, n, count):
     monkeypatch.setattr(gsg.verify, "multiply", lambda *args: pytest.fail("ran past the budget"))
     start = time.perf_counter()
     code, out, err = run(capsys, "verify", "--m", m, "--n", n)
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (4, "")
-    assert err == f"error: root tests for G({m},1,{n}) exceed budget 1000000\n"
+    assert err == f"error: {count}root tests for G({m},1,{n}) exceed budget 1000000\n"
 
 
 def test_verify_budget_is_exact(capsys):
     # G(3,1,3): 162 elements times 15 roots
     assert run(capsys, "verify", "--m", "3", "--n", "3", "--budget", "2430")[:2] == (0, VERIFY_3_3)
-    assert run(capsys, "verify", "--m", "3", "--n", "3", "--budget", "2429")[:2] == (4, "")
+    assert run(capsys, "verify", "--m", "3", "--n", "3", "--budget", "2429") == (
+        4, "", "error: 2430 root tests for G(3,1,3) exceed budget 2429\n"
+    )
 
 
 def test_stats_word_length_needs_no_budget(capsys):

@@ -17,6 +17,7 @@ from gsg.errors import (
 )
 from gsg.group_core import (
     GroupElement,
+    _order_within,
     canonical_length,
     enumerate_group,
     gen_s,
@@ -151,8 +152,22 @@ def test_group_order_rejects_empty_parameters(m, n):
 
 
 def test_enumerate_budget():
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as exc:
         enumerate_group(3, 8, budget=1000)  # raises at call time, not first next()
+    assert str(exc.value) == "elements for G(3,1,8) exceed budget 1000"
+    with pytest.raises(BudgetExceeded) as exc:
+        enumerate_group(3, 3, budget=161)
+    assert str(exc.value) == "162 elements for G(3,1,3) exceed budget 161"
+    assert len(list(enumerate_group(3, 3, budget=162))) == 162
+
+
+def test_order_within_is_exact_unless_it_stops_before_n():
+    # the product passes the cap at i = 3 = n, so the order is exact
+    assert _order_within(3, 3, 100) == 162 == _order_within(3, 3, 162)
+    assert _order_within(3, 4, 100) is None  # 162 > 100 at i = 3 < n
+    assert _order_within(2, 10**11, 10) is None
+    with pytest.raises(ValueError):
+        _order_within(0, 3, 100)
 
 
 @pytest.mark.parametrize(
