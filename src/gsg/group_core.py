@@ -13,6 +13,18 @@ Example: ``"[2]3 [4]1 [1]6 5"``.
 
 Products compose like functions: ``multiply(u, v)`` applies ``v`` first,
 sending ``k`` to ``u(v(k))`` on colored values.
+
+Where window values come from: CPython shares only the ints -5..256, so a
+window of n values built with ``range`` holds its own n - 256 int objects of
+32 bytes each.  Every window the library builds shares one pool of the ints
+1..N instead: ``unrank``, ``phi``, ``element_of_digits``, ``inverse``,
+``identity`` and the generators take their values from :func:`_window`, and
+``multiply`` and ``power`` reuse their input's values.  The checked
+constructor and :func:`parse_window` keep the caller's ints.  The pool grows
+by rebinding a longer tuple, never by extending a shared list in place: two
+threads extending one list could both append the same range and break
+``pool[k - 1] == k``, while a rebind lost to another thread only leaves some
+windows holding their own objects.
 """
 
 from __future__ import annotations
@@ -53,6 +65,24 @@ __all__ = [
 DEFAULT_BUDGET = 10**6
 
 _ENTRY_RE = re.compile(r"(?:\[([0-9]+)\])?([0-9]+)")
+
+_pool: tuple[int, ...] = ()  # _pool[k - 1] is k; see the module docstring
+
+
+def _window(n: int) -> list[int]:
+    """The identity window ``[1..n]``, a new list of the pool's int objects."""
+    pool = _pool  # read once: another thread may rebind it
+    if len(pool) < n:
+        pool = _grow(n)
+    return list(pool[:n])
+
+
+def _grow(n: int) -> tuple[int, ...]:
+    """Rebind the pool to a longer one that reaches ``n`` and keeps its objects."""
+    global _pool
+    pool = _pool
+    _pool = pool = pool + tuple(range(len(pool) + 1, n + 1))
+    return pool
 
 
 class GroupElement(Value):
@@ -152,7 +182,7 @@ def _require_budget(work: int | None, unit: str, m: int, n: int, budget: int) ->
 
 
 def identity(m: int, n: int) -> GroupElement:
-    return GroupElement(m, n, tuple(range(1, n + 1)), (0,) * n)
+    return GroupElement(m, n, tuple(_window(n)), (0,) * n)
 
 
 def multiply(u: GroupElement, v: GroupElement) -> GroupElement:
@@ -176,11 +206,13 @@ def inverse(u: GroupElement) -> GroupElement:
     m, n = u.m, u.n
     beta_inv = [0] * n
     colors = [0] * n
-    k = 0
-    for image, c in zip(u.beta, u.colors):
-        k += 1
+    pool = _pool
+    if len(pool) < n:
+        pool = _grow(n)
+    for k, image, c in zip(pool, u.beta, u.colors):  # the pool's ints as positions
         beta_inv[image - 1] = k
-        colors[image - 1] = -c % m
+        if c:
+            colors[image - 1] = m - c
     return GroupElement._unchecked(m, n, tuple(beta_inv), tuple(colors))
 
 
@@ -209,8 +241,10 @@ def power(u: GroupElement, k: int) -> GroupElement:
         ccolors = [ucolors[q] for q in cycle]
         prefix = list(itertools.accumulate(ccolors + ccolors, initial=0))
         turn = whole * prefix[ell]
-        for q, target, hi, lo in zip(cycle, cycle[rest:] + cycle[:rest], prefix[rest:], prefix):
-            beta[q] = target + 1
+        # ubeta[cycle[j]] is cycle[j + 1] + 1: u's own values, turned by rest - 1
+        turned = cycle[rest - 1 :] + cycle[: rest - 1]
+        for q, p, hi, lo in zip(cycle, turned, prefix[rest:], prefix):
+            beta[q] = ubeta[p]
             colors[q] = (turn + hi - lo) % m
     return GroupElement._unchecked(m, n, tuple(beta), tuple(colors))
 
@@ -219,7 +253,7 @@ def gen_s(m: int, n: int, i: int) -> GroupElement:
     """The color-free adjacent transposition swapping ``i`` and ``i+1``."""
     if not 1 <= (i := index(i)) <= n - 1:
         raise IndexOutOfRange(f"transposition index {_decimal(i)} outside 1..{_decimal(n - 1)}")
-    beta = list(range(1, n + 1))
+    beta = _window(n)
     beta[i - 1], beta[i] = beta[i], beta[i - 1]
     return GroupElement(m, n, tuple(beta), (0,) * n)
 
@@ -233,7 +267,7 @@ def gen_t(m: int, n: int, i: int) -> GroupElement:
         raise IndexOutOfRange(f"color generator index {_decimal(i)} outside 1..{_decimal(n)}")
     colors = [0] * n
     colors[i - 1] = int(m > 1)  # m = 1 has no colors; m < 1 fails below
-    return GroupElement(m, n, tuple(range(1, n + 1)), tuple(colors))
+    return GroupElement(m, n, tuple(_window(n)), tuple(colors))
 
 
 def gen_sigma(m: int, n: int, i: int) -> GroupElement:
@@ -248,7 +282,7 @@ def gen_sigma(m: int, n: int, i: int) -> GroupElement:
 
 def longest_element(m: int, n: int) -> GroupElement:
     """Identity permutation with every color maximal (identity when m = 1)."""
-    return GroupElement(m, n, tuple(range(1, n + 1)), (m - 1,) * n)
+    return GroupElement(m, n, tuple(_window(n)), (m - 1,) * n)
 
 
 def _earlier_smaller(beta: Sequence[int]) -> list[int]:
@@ -309,12 +343,15 @@ def parse_window(text: str, m: int) -> GroupElement:
     value_width, color_width = _digit_count(n), _digit_count(m - 1)
     beta = []
     colors = []
+    fullmatch = _ENTRY_RE.fullmatch
     for pos, entry in enumerate(entries, start=1):
-        match = _ENTRY_RE.fullmatch(entry)
+        match = fullmatch(entry)
         if match is None:
             raise WindowParseError(f"entry {pos} ({_quote(entry)}) is malformed")
         color_text, value_text = match.groups()
-        if any(g[0] == "0" and len(g) > 1 for g in match.groups() if g):
+        if (value_text[0] == "0" and len(value_text) > 1) or (
+            color_text is not None and color_text[0] == "0" and len(color_text) > 1
+        ):
             raise WindowParseError(f"entry {pos} ({_quote(entry)}) has a leading zero")
         color = 0
         if color_text is not None:

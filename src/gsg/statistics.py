@@ -21,9 +21,9 @@ from itertools import accumulate
 from operator import index, sub
 
 from .errors import IndexOutOfRange, RankOutOfRange
-from .group_core import DEFAULT_BUDGET, GroupElement, _earlier_smaller, _require_budget, group_order
+from .group_core import DEFAULT_BUDGET, GroupElement, _earlier_smaller, _require_budget, _window
 from .mixed_radix import (
-    MixedRadixNumber, Value, _decimal, _decode, _encode, _new, _quote, slot_setters
+    MixedRadixNumber, Value, _decimal, _decode, _encode, _new, _quote, _radix_product, slot_setters
 )
 
 __all__ = [
@@ -199,15 +199,20 @@ def unrank(r: int, m: int, n: int) -> GroupElement:
     ascending by value: a digit ``d`` below the count ``k`` of remaining
     values picks the d-th largest with color 0, otherwise ``divmod(d - k,
     m - 1)`` gives the index among the remaining values in ascending order
-    and the color minus 1.  O(n^2) in all.
+    and the color minus 1.  O(n^2) in all.  A rank below 1 is refused
+    before the order is built, so at any n.
     """
     r, m, n = index(r), index(m), index(n)
-    order = group_order(m, n)
-    if not 1 <= r <= order:
+    if m < 1 or n < 1:
+        raise ValueError("need m >= 1 and n >= 1")
+    if r < 1:
+        raise RankOutOfRange(f"rank {_decimal(r)} is below 1")
+    order = _radix_product(m, 0, n)
+    if r > order:
         raise RankOutOfRange(f"rank {_decimal(r)} outside 1..{_decimal(order)}")
     digits = [0] * n
     _encode(r - 1, m, 0, n, digits)
-    remaining = list(range(1, n + 1))
+    remaining = _window(n)
     beta = [0] * n
     colors = [0] * n
     for p in range(n - 1, -1, -1):
@@ -271,7 +276,7 @@ def phi(w: GroupElement) -> GroupElement:
     :func:`fmaj_exponents` backwards, picking values as :func:`unrank` does.
     """
     m, n = w.m, w.n
-    remaining = list(range(1, n + 1))
+    remaining = _window(n)
     beta, colors = [0] * n, [0] * n
     taken, s, prev = 0, 0, n + 1
     for p, e in zip(range(n, 0, -1), reversed(_inversions(w))):

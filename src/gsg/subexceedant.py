@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from operator import index
 
-from .group_core import GroupElement
+from .group_core import GroupElement, _window
 from .mixed_radix import MixedRadixNumber, _decimal, _echo, decode, encode_width
 
 __all__ = [
@@ -74,7 +74,7 @@ def element_of_digits(d: MixedRadixNumber) -> GroupElement:
     positions i and j for i = n-1 down to 0, unchecked.
     """
     m, digits, n = d.m, d.digits, d.n
-    beta = list(range(1, n + 1))
+    beta = _window(n)
     for i in range(n - 1, -1, -1):
         j = digits[i] // m
         beta[i], beta[j] = beta[j], beta[i]

@@ -634,6 +634,18 @@ def test_huge_n_exits_4_before_any_work(capsys, monkeypatch, argv, unit, work, n
     assert len(err.encode()) < 200
 
 
+@pytest.mark.parametrize("rank", ["0", "-1"])
+def test_unrank_refuses_a_rank_below_1_before_the_order(capsys, monkeypatch, rank):
+    # the budget admits n = 10^10, whose order alone is 10^10 factors
+    monkeypatch.setattr(
+        gsg.statistics, "_radix_product", lambda *args: pytest.fail("built the order")
+    )
+    argv = ("unrank", "--m", "64", "--n", "10000000000", "--budget", "9" * 20, "--", rank)
+    start = time.perf_counter()
+    assert run(capsys, *argv) == (3, "", f"error: rank {rank} is below 1\n")
+    assert time.perf_counter() - start < 1.0
+
+
 def test_memory_error_exits_4_with_one_line(capsys, monkeypatch):
     # a budget this large lets element encode reach a width of 10^10 digits;
     # the allocation is stood in for, never made

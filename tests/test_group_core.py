@@ -1,14 +1,18 @@
 """Group arithmetic tests: presentation relations, word lengths, text format."""
 
 import itertools
+import random
 import sys
+import threading
 import time
+import tracemalloc
 from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gsg.group_core
 from gsg.errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -18,6 +22,7 @@ from gsg.errors import (
 from gsg.group_core import (
     GroupElement,
     _order_within,
+    _window,
     canonical_length,
     enumerate_group,
     gen_s,
@@ -31,7 +36,9 @@ from gsg.group_core import (
     parse_window,
     power,
 )
-from gsg.statistics import length_L
+from gsg.mixed_radix import MixedRadixNumber
+from gsg.statistics import length_L, phi, unrank
+from gsg.subexceedant import element_of_digits, element_of_integer
 
 
 def test_identity_and_unit_laws():
@@ -447,3 +454,94 @@ def test_parse_window_rejects_radix_zero_with_plain_value_error():
         parse_window("1", 0)
     assert type(exc.value) is ValueError
     assert str(exc.value) == "need m >= 1, got 0"
+
+
+def assert_pool_ints(w):
+    pool = _window(w.n)  # the pool's objects for 1..n, in order
+    assert all(v is pool[v - 1] for v in w.beta), w.window()
+
+
+def test_library_built_windows_share_the_pools_ints():
+    # values past 256 are fresh objects unless they come from the pool
+    m, n = 3, 600
+    rng = random.Random(600)
+    order = group_order(m, n)
+    # f(i) = i at every third i swaps nothing there, which leaves fixed points
+    digits = [m * (i if i % 3 == 0 else rng.randrange(i + 1)) + rng.randrange(m) for i in range(n)]
+    u = element_of_digits(MixedRadixNumber(m, digits))
+    fixed = [q for q in range(n) if u.beta[q] == q + 1]
+    assert fixed and len(fixed) < n
+    q, ell = u.beta[0] - 1, 1  # the cycle through position 1
+    while q != 0:
+        q, ell = u.beta[q] - 1, ell + 1
+    assert ell > 1
+    built = [
+        u,
+        unrank(rng.randrange(1, order + 1), m, n),
+        element_of_integer(rng.randrange(order), m, n),
+        inverse(u),
+        phi(u),
+        identity(m, n),
+        *(power(u, k) for k in (-1, 0, 1, 7, 3 * ell, -ell)),
+    ]
+    for w in built:
+        assert_pool_ints(w)
+    # a rebound, longer pool keeps the objects of the windows built before it
+    _window(len(gsg.group_core._pool) + 1)
+    after = unrank(1, m, n)
+    assert all(a is b for a, b in zip(after.beta, identity(m, n).beta))
+    for w in built:
+        assert_pool_ints(w)
+
+
+def test_checked_constructor_and_parse_window_keep_the_callers_ints():
+    n = 300
+    beta = tuple(int(str(v)) for v in range(1, n + 1))  # fresh objects past 256
+    w = GroupElement(1, n, beta, (0,) * n)
+    assert all(a is b for a, b in zip(w.beta, beta))
+    pool = _window(n)
+    parsed = parse_window(w.window(), 1)
+    assert parsed == w and parsed.beta[-1] is not pool[-1]
+
+
+def test_built_elements_retain_no_ints_of_their_own():
+    # two tuples of 2000 pointers are about 32 KB; 1744 own ints would add 55 KB
+    m, n = 2, 2000
+    rng = random.Random(2000)
+    xs = [rng.randrange(group_order(m, n)) for _ in range(20)]
+    element_of_integer(0, m, n)  # the pool reaches n before the trace
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [element_of_integer(x, m, n) for x in xs]
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / len(kept) < 40_000
+
+
+def test_pool_grows_race_free_under_threads(monkeypatch):
+    # four threads grow one pool from empty in small steps, with a short
+    # switch interval so that their rebinds interleave
+    monkeypatch.setattr(gsg.group_core, "_pool", ())
+    errors = []
+
+    def grow(offset):
+        for n in range(1 + offset, 1500, 4):
+            if _window(n) != list(range(1, n + 1)):
+                errors.append(n)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=grow, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    pool = gsg.group_core._pool
+    assert list(pool) == list(range(1, len(pool) + 1))

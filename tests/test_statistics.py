@@ -419,10 +419,15 @@ def test_unrank_range_message_past_the_str_digit_limit():
     try:
         for m, n in itertools.product((1, 2, 5), (1, 2, 65, 2000)):
             order = group_order(m, n)
-            for r in (0, -1, order + 1, order + 10**30):
+            for r in (order + 1, order + 10**30):
                 with pytest.raises(RankOutOfRange) as exc:
                     unrank(r, m, n)
                 assert str(exc.value) == f"rank {shown(r)} outside 1..{shown(order)}"
+            # below 1 the message names no order: it is refused before the order is built
+            for r in (0, -1, -(10**5000)):
+                with pytest.raises(RankOutOfRange) as exc:
+                    unrank(r, m, n)
+                assert str(exc.value) == f"rank {shown(r)} is below 1"
             # the two ends themselves are in range
             assert rank(unrank(order, m, n)) == order and unrank(1, m, n) == identity(m, n)
     finally:
