@@ -97,10 +97,8 @@ class GroupElement(Value):
     def __init__(
         self, m: int, n: int, beta: tuple[int, ...], colors: tuple[int, ...]
     ):
-        m, n = index(m), index(n)
+        m, n = _dims(m, n)
         beta, colors = tuple(map(index, beta)), tuple(map(index, colors))
-        if m < 1 or n < 1:
-            raise ValueError(f"need m >= 1 and n >= 1, got ({_decimal(m)}, {_decimal(n)})")
         if len(beta) != n or sorted(beta) != list(range(1, n + 1)):
             raise ValueError(f"{_echo(beta)} is not a permutation of 1..{_decimal(n)}")
         if len(colors) != n:
@@ -151,6 +149,14 @@ class GroupElement(Value):
 _set_m, _set_n, _set_beta, _set_colors = slot_setters(GroupElement)
 
 
+def _dims(m: int, n: int) -> tuple[int, int]:
+    """``(m, n)`` as ints, refused unless both are at least 1 (before a window is built)."""
+    m, n = index(m), index(n)
+    if m < 1 or n < 1:
+        raise ValueError(f"need m >= 1 and n >= 1, got ({_decimal(m)}, {_decimal(n)})")
+    return m, n
+
+
 def group_order(m: int, n: int) -> int:
     m, n = index(m), index(n)
     if m < 1 or n < 1:
@@ -182,7 +188,8 @@ def _require_budget(work: int | None, unit: str, m: int, n: int, budget: int) ->
 
 
 def identity(m: int, n: int) -> GroupElement:
-    return GroupElement(m, n, tuple(_window(n)), (0,) * n)
+    m, n = _dims(m, n)
+    return GroupElement._unchecked(m, n, tuple(_window(n)), (0,) * n)
 
 
 def multiply(u: GroupElement, v: GroupElement) -> GroupElement:
@@ -253,9 +260,10 @@ def gen_s(m: int, n: int, i: int) -> GroupElement:
     """The color-free adjacent transposition swapping ``i`` and ``i+1``."""
     if not 1 <= (i := index(i)) <= n - 1:
         raise IndexOutOfRange(f"transposition index {_decimal(i)} outside 1..{_decimal(n - 1)}")
+    m, n = _dims(m, n)
     beta = _window(n)
     beta[i - 1], beta[i] = beta[i], beta[i - 1]
-    return GroupElement(m, n, tuple(beta), (0,) * n)
+    return GroupElement._unchecked(m, n, tuple(beta), (0,) * n)
 
 
 def gen_t(m: int, n: int, i: int) -> GroupElement:
@@ -265,9 +273,10 @@ def gen_t(m: int, n: int, i: int) -> GroupElement:
     """
     if not 1 <= (i := index(i)) <= n:
         raise IndexOutOfRange(f"color generator index {_decimal(i)} outside 1..{_decimal(n)}")
+    m, n = _dims(m, n)
     colors = [0] * n
-    colors[i - 1] = int(m > 1)  # m = 1 has no colors; m < 1 fails below
-    return GroupElement(m, n, tuple(_window(n)), tuple(colors))
+    colors[i - 1] = int(m > 1)  # m = 1 has no colors
+    return GroupElement._unchecked(m, n, tuple(_window(n)), tuple(colors))
 
 
 def gen_sigma(m: int, n: int, i: int) -> GroupElement:
@@ -282,7 +291,8 @@ def gen_sigma(m: int, n: int, i: int) -> GroupElement:
 
 def longest_element(m: int, n: int) -> GroupElement:
     """Identity permutation with every color maximal (identity when m = 1)."""
-    return GroupElement(m, n, tuple(_window(n)), (m - 1,) * n)
+    m, n = _dims(m, n)
+    return GroupElement._unchecked(m, n, tuple(_window(n)), (m - 1,) * n)
 
 
 def _earlier_smaller(beta: Sequence[int]) -> list[int]:

@@ -7,12 +7,11 @@ element is the number of simple-side roots it sends negative; split by
 anchor coordinate this gives the i-inversion numbers, returned as a
 mixed-radix digit string.  The library computes those numbers in
 closed form, in one pass over the window, and the length as their sum;
-counting roots is kept as the oracle (:func:`length_L_oracle`,
-:func:`inv_oracle`).  :func:`act` and :func:`is_negative` define the count
-one root at a time; the oracles and ``gsg verify`` count a whole list of
-roots at once.  Decoding the digit string (plus one) ranks the group, and
-reading it as flag-generator exponents transports the length statistic onto
-the flag-major index.
+counting roots is kept as the oracle: :func:`inv_oracle` and ``gsg verify``
+count a whole list of roots at once, by the rule :func:`_negatives` states.
+Decoding the digit string (plus one) ranks the group, and reading it as
+flag-generator exponents transports the length statistic onto the flag-major
+index.
 """
 
 from __future__ import annotations
@@ -28,13 +27,9 @@ from .mixed_radix import (
 
 __all__ = [
     "QPolynomial",
-    "all_roots",
     "delta",
     "delta_block",
-    "is_negative",
-    "act",
     "length_L",
-    "length_L_oracle",
     "inv_oracle",
     "inv_closed",
     "inversion_table",
@@ -46,17 +41,6 @@ __all__ = [
     "poincare",
     "histogram",
 ]
-
-
-def all_roots(m: int, n: int) -> list[tuple[int, int, int, int]]:
-    """Every formal difference of two distinct colored basis vectors."""
-    vectors = [(a, j) for j in range(1, n + 1) for a in range(m)]
-    return [
-        (a, j, b, l)
-        for (a, j) in vectors
-        for (b, l) in vectors
-        if (a, j) != (b, l)
-    ]
 
 
 def delta(m: int, n: int) -> list[tuple[int, int, int, int]]:
@@ -78,39 +62,11 @@ def delta_block(m: int, n: int, i: int) -> list[tuple[int, int, int, int]]:
     return [(0, p, k, l) for l in range(1, p + 1) for k in range(m) if l != p or k != 0]
 
 
-def is_negative(r: tuple[int, int, int, int]) -> bool:
-    """O(1) classifier for membership in the negative half.
-
-    Same index: negative iff the leading exponent is larger.  Leading index
-    strictly larger: negative iff its exponent is nonzero.  Leading index
-    strictly smaller: negative iff the trailing exponent is zero.  Exactly
-    one of a root and its negation is negative.
-    """
-    a, j, b, l = r
-    if j == l:
-        return a > b
-    if j > l:
-        return a != 0
-    return b == 0
-
-
-def act(w: GroupElement, r: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-    """Image of a root: each colored vector ``(a, j)`` maps to
-    ``(a + color_j mod m, beta_j)``."""
-    a, j, b, l = r
-    return (
-        (a + w.colors[j - 1]) % w.m,
-        w.beta[j - 1],
-        (b + w.colors[l - 1]) % w.m,
-        w.beta[l - 1],
-    )
-
-
 def length_L(w: GroupElement) -> int:
     """The root-theoretic length, as the sum of the i-inversion numbers.
 
-    Length additivity makes this equal to :func:`length_L_oracle`, which
-    counts the roots.
+    Length additivity makes this equal to the number of simple-side roots
+    ``w`` sends negative, which :func:`_negatives` counts over :func:`delta`.
     """
     return sum(_inversions(w))
 
@@ -118,7 +74,10 @@ def length_L(w: GroupElement) -> int:
 def _negatives(w: GroupElement, roots: list[tuple[int, int, int, int]]) -> int:
     """How many of ``roots``, as ``(a, j, b, l)`` tuples, ``w`` sends negative.
 
-    :func:`act` and the three cases of :func:`is_negative`, on plain ints.
+    ``w`` sends ``(a, j)`` to ``(a + color_j mod m, beta_j)``.  An image root
+    is negative, at the same index, iff its leading exponent is larger; with
+    the leading index larger, iff that exponent is nonzero; with it smaller,
+    iff the trailing exponent is zero.  Exactly one of r and -r is negative.
     """
     m, beta, colors = w.m, w.beta, w.colors
     count = 0
@@ -131,11 +90,6 @@ def _negatives(w: GroupElement, roots: list[tuple[int, int, int, int]]) -> int:
         else:
             count += (b + colors[l - 1]) % m == 0
     return count
-
-
-def length_L_oracle(w: GroupElement) -> int:
-    """Number of simple-side roots sent negative, by direct counting."""
-    return _negatives(w, delta(w.m, w.n))
 
 
 def inv_oracle(w: GroupElement, i: int) -> int:
@@ -311,13 +265,6 @@ class QPolynomial(Value):
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def __mul__(self, other: "QPolynomial") -> "QPolynomial":
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return QPolynomial(tuple(out))
 
     def __str__(self) -> str:
         return ",".join(str(c) for c in self.coeffs)

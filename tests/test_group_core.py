@@ -545,3 +545,17 @@ def test_pool_grows_race_free_under_threads(monkeypatch):
     assert errors == []
     pool = gsg.group_core._pool
     assert list(pool) == list(range(1, len(pool) + 1))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [identity, lambda m, n: gen_s(m, n, 1), lambda m, n: gen_t(m, n, 1), longest_element],
+    ids=["identity", "gen_s", "gen_t", "longest_element"],
+)
+def test_a_refused_build_leaves_the_pool_alone(monkeypatch, build):
+    # m and n are checked before the window is taken, so no 10^5 ints stay behind
+    monkeypatch.setattr(gsg.group_core, "_pool", ())
+    with pytest.raises(ValueError) as exc:
+        build(0, 10**5)
+    assert str(exc.value) == "need m >= 1 and n >= 1, got (0, 100000)"
+    assert len(gsg.group_core._pool) == 0

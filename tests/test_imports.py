@@ -1,9 +1,13 @@
-"""Every import in a ``gsg`` module is used there.
+"""Every import in a ``gsg`` module is used there, and every public name
+has a caller outside the tests.
 
 No linter runs on this repository, so a deletion can leave an import
 behind unnoticed.  This test reads each module's syntax tree with ``ast``
 and fails on a name that a module imports and never mentions.
 ``__init__.py`` is left out: its imports are the package's re-exports.
+A name in a module's ``__all__`` must be imported by another ``gsg``
+module, re-exported by ``__init__.py`` or imported by a demo: code that
+only the tests call belongs in the tests.
 """
 
 import ast
@@ -13,6 +17,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gsg"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+DEMOS = sorted((SRC.parent.parent / "demos").glob("*.py"))
 
 
 def unused_imports(source):
@@ -38,3 +43,40 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imports_from(source):
+    """``(module, name)`` for each name ``source`` imports with ``from``, the
+    module by its last dotted part: ``.statistics`` and ``gsg.statistics``
+    are both ``statistics``."""
+    return {
+        (node.module.rpartition(".")[2], alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module
+        for alias in node.names
+    }
+
+
+def public_names(source):
+    """The names in ``source``'s ``__all__``, or none."""
+    for node in ast.parse(source).body:
+        targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if targets == ["__all__"]:
+            return ast.literal_eval(node.value)
+    return []
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    imported = set()
+    for path in [*SRC.glob("*.py"), *DEMOS]:
+        imported |= imports_from(path.read_text(encoding="utf-8"))
+    # the scan sees a demo's import and a module's __all__
+    assert ("subexceedant", "psi") in imported
+    assert "rank" in public_names((SRC / "statistics.py").read_text(encoding="utf-8"))
+    unused = [
+        f"{path.stem}.{name}"
+        for path in MODULES
+        for name in public_names(path.read_text(encoding="utf-8"))
+        if (path.stem, name) not in imported
+    ]
+    assert unused == []

@@ -160,7 +160,7 @@ NOT_AN_INT = "'float' object cannot be interpreted as an integer"
         (lambda: gen_s(2, 3, 1.0), TypeError, NOT_AN_INT),
         (lambda: gen_t(2, 3, 1.0), TypeError, NOT_AN_INT),
         (lambda: inv_closed(identity(2, 3), 1.0), TypeError, NOT_AN_INT),
-        # gen_t picks its color without dividing by m, so the constructor refuses m = 0
+        # gen_t picks its color without dividing by m, so m = 0 reaches the check
         (lambda: gen_t(0, 3, 1), ValueError, "need m >= 1 and n >= 1, got (0, 3)"),
     ],
 )
