@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes.  Bad ``m``, ``n``, width or
-statistic arguments to library calls (``encode``, ``weights``, ``unrank``,
-``poincare``, ``histogram``, the value constructors, ...) raise bare
-ValueError; the CLI checks those arguments itself before calling.
+The CLI maps these onto process exit codes and checks its own arguments first.
+A group's bad ``m`` or ``n`` raises bare ValueError from one check,
+``group_core._dims``, whose one message gives both; the codec's ``encode``,
+``weights`` and ``encode_width`` keep theirs ("radix seed must be >= 1", ...).
 Plain OverflowError (builtin) is reserved for integers that do not fit
 a requested digit width.
 """

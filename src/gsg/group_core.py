@@ -150,7 +150,7 @@ _set_m, _set_n, _set_beta, _set_colors = slot_setters(GroupElement)
 
 
 def _dims(m: int, n: int) -> tuple[int, int]:
-    """``(m, n)`` as ints, refused unless both are at least 1 (before a window is built)."""
+    """``(m, n)`` as ints if both are at least 1: the only check of a group's parameters."""
     m, n = index(m), index(n)
     if m < 1 or n < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got ({_decimal(m)}, {_decimal(n)})")
@@ -158,17 +158,13 @@ def _dims(m: int, n: int) -> tuple[int, int]:
 
 
 def group_order(m: int, n: int) -> int:
-    m, n = index(m), index(n)
-    if m < 1 or n < 1:
-        raise ValueError("need m >= 1 and n >= 1")
+    m, n = _dims(m, n)
     return _radix_product(m, 0, n)
 
 
 def _order_within(m: int, n: int, cap: int) -> int | None:
     """The order m^n n!, or None once the product of the radices m*i passes
-    ``cap`` before i = n: O(log cap) steps for any n."""
-    if m < 1 or n < 1:
-        raise ValueError("need m >= 1 and n >= 1")
+    ``cap`` before i = n: O(log cap) steps for any n.  Callers check (m, n) first."""
     order = 1
     for i in range(1, n + 1):
         order *= m * i
@@ -258,9 +254,9 @@ def power(u: GroupElement, k: int) -> GroupElement:
 
 def gen_s(m: int, n: int, i: int) -> GroupElement:
     """The color-free adjacent transposition swapping ``i`` and ``i+1``."""
+    m, n = _dims(m, n)
     if not 1 <= (i := index(i)) <= n - 1:
         raise IndexOutOfRange(f"transposition index {_decimal(i)} outside 1..{_decimal(n - 1)}")
-    m, n = _dims(m, n)
     beta = _window(n)
     beta[i - 1], beta[i] = beta[i], beta[i - 1]
     return GroupElement._unchecked(m, n, tuple(beta), (0,) * n)
@@ -271,9 +267,9 @@ def gen_t(m: int, n: int, i: int) -> GroupElement:
 
     With m = 1 there are no colors and this is the identity.
     """
+    m, n = _dims(m, n)
     if not 1 <= (i := index(i)) <= n:
         raise IndexOutOfRange(f"color generator index {_decimal(i)} outside 1..{_decimal(n)}")
-    m, n = _dims(m, n)
     colors = [0] * n
     colors[i - 1] = int(m > 1)  # m = 1 has no colors
     return GroupElement._unchecked(m, n, tuple(_window(n)), tuple(colors))
@@ -281,6 +277,7 @@ def gen_t(m: int, n: int, i: int) -> GroupElement:
 
 def gen_sigma(m: int, n: int, i: int) -> GroupElement:
     """The i-th flag generator: ``t_1`` for i = 0, else ``s_i .. s_1 t_1``."""
+    m, n = _dims(m, n)
     if not 0 <= i <= n - 1:
         raise IndexOutOfRange(f"flag generator index {_decimal(i)} outside 0..{_decimal(n - 1)}")
     w = gen_t(m, n, 1)
@@ -327,7 +324,7 @@ def enumerate_group(
 
     The budget is checked at call time, not at first iteration.
     """
-    m, n = index(m), index(n)
+    m, n = _dims(m, n)
     _require_budget(_order_within(m, n, budget), "elements", m, n, budget)
     build = GroupElement._unchecked
     return (
@@ -343,13 +340,10 @@ def parse_window(text: str, m: int) -> GroupElement:
     The number of entries fixes n; the values must form a permutation of
     1..n and color prefixes must lie in 1..m-1 (so m = 1 takes none).
     """
-    m = index(m)
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {_decimal(m)}")
     if not text:
         raise WindowParseError("empty window")
     entries = text.split(" ")
-    n = len(entries)
+    m, n = _dims(m, len(entries))
     value_width, color_width = _digit_count(n), _digit_count(m - 1)
     beta = []
     colors = []

@@ -20,7 +20,9 @@ from itertools import accumulate
 from operator import index, sub
 
 from .errors import IndexOutOfRange, RankOutOfRange
-from .group_core import DEFAULT_BUDGET, GroupElement, _earlier_smaller, _require_budget, _window
+from .group_core import (
+    DEFAULT_BUDGET, GroupElement, _dims, _earlier_smaller, _require_budget, _window
+)
 from .mixed_radix import (
     MixedRadixNumber, Value, _decimal, _decode, _encode, _new, _quote, _radix_product, slot_setters
 )
@@ -49,6 +51,7 @@ def delta(m: int, n: int) -> list[tuple[int, int, int, int]]:
 
     At m = 1 this is the symmetric group's type-A set, ``l < j`` only.
     """
+    m, n = _dims(m, n)
     return [r for i in range(n, 0, -1) for r in delta_block(m, n, i)]
 
 
@@ -56,6 +59,7 @@ def delta_block(m: int, n: int, i: int) -> list[tuple[int, int, int, int]]:
     """The block of the simple-side set anchored at coordinate ``p = n+1-i``:
     ``e_p`` minus each colored ``e_l`` with ``l <= p``, less the degenerate
     color-0 same-index term (it is not a root)."""
+    m, n = _dims(m, n)
     if not 1 <= i <= n:
         raise IndexOutOfRange(f"block index {_decimal(i)} outside 1..{_decimal(n)}")
     p = n + 1 - i
@@ -98,24 +102,19 @@ def inv_oracle(w: GroupElement, i: int) -> int:
 
 
 def inv_closed(w: GroupElement, i: int) -> int:
-    """i-inversions in closed form, no root system needed.
-
-    At position ``p = n+1-i``: the color there, plus m per earlier smaller
-    value when that color is nonzero, plus one per earlier larger value.
-    """
+    """i-inversions in closed form, no root system needed: the entry of
+    :func:`_inversions` at position ``n+1-i``."""
     if not 1 <= (i := index(i)) <= w.n:
         raise IndexOutOfRange(f"inversion index {_decimal(i)} outside 1..{w.n}")
-    p = w.n - i  # the p above, 0-based
-    b_p, r_p = w.beta[p], w.colors[p]
-    smaller = len([b for b in w.beta[:p] if b < b_p])
-    return r_p + (w.m * smaller if r_p else 0) + (p - smaller)
+    return _inversions(w)[w.n - i]
 
 
 def _inversions(w: GroupElement) -> list[int]:
     """Every i-inversion number in position order, in one pass.
 
-    The entry at 0-based position p is :func:`inv_closed` with i = n - p;
-    bit v of ``seen`` is set once v has gone by, so the popcount of
+    The entry at 0-based position p, with i = n - p: the color c there, plus
+    m per earlier smaller value when c is nonzero, plus one per earlier larger
+    value.  Bit v of ``seen`` is set once v has gone by, so the popcount of
     ``seen >> b`` counts the earlier larger values and p minus it the smaller.
     """
     m = w.m
@@ -156,9 +155,7 @@ def unrank(r: int, m: int, n: int) -> GroupElement:
     and the color minus 1.  O(n^2) in all.  A rank below 1 is refused
     before the order is built, so at any n.
     """
-    r, m, n = index(r), index(m), index(n)
-    if m < 1 or n < 1:
-        raise ValueError("need m >= 1 and n >= 1")
+    r, (m, n) = index(r), _dims(m, n)
     if r < 1:
         raise RankOutOfRange(f"rank {_decimal(r)} is below 1")
     order = _radix_product(m, 0, n)
@@ -288,8 +285,7 @@ def poincare(m: int, n: int, budget: int = DEFAULT_BUDGET) -> QPolynomial:
     m*n*(n+1)/2 - n`` the degree of the product; past it :class:`BudgetExceeded`,
     "N coefficient updates for G(m,1,n) exceed budget B", before any work.
     """
-    if m < 1 or n < 1:
-        raise ValueError("need m >= 1 and n >= 1")
+    m, n = _dims(m, n)
     _require_budget(n * (m * n * (n + 1) // 2 - n + 1), "coefficient updates", m, n, budget)
     coeffs = [1]
     for k in range(m, m * n + 1, m):

@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from operator import index
 
 from .group_core import GroupElement, _window
-from .mixed_radix import MixedRadixNumber, _decimal, _echo, decode, encode_width
+from .mixed_radix import MixedRadixNumber, _decimal, decode, encode_width
 
 __all__ = [
     "psi",
@@ -56,13 +56,10 @@ def psi_inverse(beta: Sequence[int]) -> tuple[int, ...]:
     """The tuple ``f`` with ``psi(f) == beta``, for a permutation's window ``beta``.
 
     The walk of :func:`digits_of_element` at ``m = 1``: it replays psi's
-    position swaps from the identity, reading each ``f(i)`` on the way.  The
-    values go through ``operator.index`` once checked, as in :func:`psi`.
+    position swaps from the identity, reading each ``f(i)`` on the way.
+    ``beta`` is checked by the :class:`GroupElement` constructor.
     """
-    n = len(beta)
-    if not n or sorted(beta) != list(range(1, n + 1)):
-        raise ValueError(f"need a permutation of 1..n with n >= 1, got {_echo(tuple(beta))}")
-    d = digits_of_element(GroupElement._unchecked(1, n, tuple(map(index, beta)), (0,) * n))
+    d = digits_of_element(GroupElement(1, len(beta), beta, (0,) * len(beta)))
     return tuple([digit + 1 for digit in d.digits])
 
 

@@ -28,6 +28,7 @@ from itertools import combinations, islice, repeat
 
 from .group_core import (
     DEFAULT_BUDGET,
+    _dims,
     _order_within,
     _require_budget,
     enumerate_group,
@@ -80,6 +81,7 @@ def run_property_checks(
     m: int, n: int, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[str, bool]]:
     """Run the invariant sweep over the whole group; (name, passed) pairs."""
+    m, n = _dims(m, n)
     # each element is tested against all |Delta| = m*n*(n+1)/2 - n roots
     roots = max(1, m * n * (n + 1) // 2 - n)
     # order * roots <= budget exactly when order <= budget // roots

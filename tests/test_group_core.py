@@ -154,8 +154,9 @@ def test_enumerate_count(m, n, count):
 
 @pytest.mark.parametrize("m,n", [(-2, 3), (0, 3), (2, 0), (2, -1)])
 def test_group_order_rejects_empty_parameters(m, n):
-    with pytest.raises(ValueError, match=r"^need m >= 1 and n >= 1$"):
+    with pytest.raises(ValueError) as exc:
         group_order(m, n)
+    assert str(exc.value) == f"need m >= 1 and n >= 1, got ({m}, {n})"
 
 
 def test_enumerate_budget():
@@ -173,8 +174,6 @@ def test_order_within_is_exact_unless_it_stops_before_n():
     assert _order_within(3, 3, 100) == 162 == _order_within(3, 3, 162)
     assert _order_within(3, 4, 100) is None  # 162 > 100 at i = 3 < n
     assert _order_within(2, 10**11, 10) is None
-    with pytest.raises(ValueError):
-        _order_within(0, 3, 100)
 
 
 @pytest.mark.parametrize(
@@ -453,7 +452,7 @@ def test_parse_window_rejects_radix_zero_with_plain_value_error():
     with pytest.raises(ValueError) as exc:
         parse_window("1", 0)
     assert type(exc.value) is ValueError
-    assert str(exc.value) == "need m >= 1, got 0"
+    assert str(exc.value) == "need m >= 1 and n >= 1, got (0, 1)"
 
 
 def assert_pool_ints(w):

@@ -7,7 +7,9 @@ and fails on a name that a module imports and never mentions.
 ``__init__.py`` is left out: its imports are the package's re-exports.
 A name in a module's ``__all__`` must be imported by another ``gsg``
 module, re-exported by ``__init__.py`` or imported by a demo: code that
-only the tests call belongs in the tests.
+only the tests call belongs in the tests.  The message refusing a group's
+``(m, n)`` is written once, in ``group_core._dims``, which every entry point
+calls.
 """
 
 import ast
@@ -80,3 +82,30 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         if (path.stem, name) not in imported
     ]
     assert unused == []
+
+
+RULE = "need m >= 1"  # the start of _dims's message
+
+
+def texts_containing(tree, text):
+    """The string constants under ``tree`` that contain ``text``, the literal
+    parts of an f-string and docstrings included."""
+    return [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and text in node.value
+    ]
+
+
+def test_the_group_parameter_rule_is_written_once():
+    # the scan sees an f-string's literal parts
+    assert texts_containing(ast.parse('f"need {m}, got {n}"'), "got") == [", got "]
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    dims = next(
+        node
+        for node in ast.walk(trees["group_core"])
+        if isinstance(node, ast.FunctionDef) and node.name == "_dims"
+    )
+    stated = [text for tree in trees.values() for text in texts_containing(tree, RULE)]
+    assert len(stated) == 1
+    assert stated == texts_containing(dims, RULE)

@@ -354,7 +354,7 @@ BIG_TEXT = f"<{BIG.bit_length()}-bit number>"
         (
             lambda: psi_inverse((1, BIG)),
             ValueError,
-            f"need a permutation of 1..n with n >= 1, got (1, {BIG_TEXT})",
+            f"(1, {BIG_TEXT}) is not a permutation of 1..2",
         ),
     ],
     ids=[

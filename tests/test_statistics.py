@@ -18,6 +18,7 @@ from gsg.group_core import (
     _earlier_smaller,
     canonical_length,
     enumerate_group,
+    gen_s,
     gen_sigma,
     gen_t,
     group_order,
@@ -562,7 +563,7 @@ def test_histogram_names_an_unknown_statistic_briefly(statistic, shown, limit):
 
 HISTOGRAM_ARGUMENT_ERRORS = {
     "statistic first": (("maj", 0, 60, 10), ValueError, "unknown statistic 'maj'"),
-    "empty group": (("L", 0, 60, 10), ValueError, "need m >= 1 and n >= 1"),
+    "empty group": (("L", 0, 60, 10), ValueError, "need m >= 1 and n >= 1, got (0, 60)"),
     # poincare's count: 60 factors times 1,771 coefficients
     "budget": (
         ("L", 1, 60, 10), BudgetExceeded, "106260 coefficient updates for G(1,1,60) exceed budget 10"
@@ -1008,7 +1009,7 @@ def test_poincare_rejects_an_empty_group_with_plain_value_error(m, n):
     with pytest.raises(ValueError) as exc:
         poincare(m, n)
     assert type(exc.value) is ValueError
-    assert str(exc.value) == "need m >= 1 and n >= 1"
+    assert str(exc.value) == f"need m >= 1 and n >= 1, got ({m}, {n})"
 
 
 @pytest.mark.skipif(
@@ -1028,20 +1029,31 @@ def test_budget_message_below_the_default_str_digit_limit():
     )
 
 
-WHOLE_GROUP_CALLS = {
+GROUP_ENTRY_POINTS = {
     "enumerate_group": lambda m, n: enumerate_group(m, n),
     "histogram inv": lambda m, n: histogram("inv", m, n),
     "histogram fmaj": lambda m, n: histogram("fmaj", m, n),
     "histogram L": lambda m, n: histogram("L", m, n),
     "run_property_checks": lambda m, n: run_property_checks(m, n),
+    "group_order": group_order,
+    "unrank": lambda m, n: unrank(1, m, n),
+    "poincare": poincare,
+    "delta": delta,
+    "delta_block": lambda m, n: delta_block(m, n, 1),
+    "identity": identity,
+    "longest_element": longest_element,
+    "gen_s": lambda m, n: gen_s(m, n, 1),
+    "gen_t": lambda m, n: gen_t(m, n, 1),
+    "gen_sigma": lambda m, n: gen_sigma(m, n, 0),
 }
 
 
-@pytest.mark.parametrize("call", WHOLE_GROUP_CALLS.values(), ids=WHOLE_GROUP_CALLS.keys())
+@pytest.mark.parametrize("call", GROUP_ENTRY_POINTS.values(), ids=GROUP_ENTRY_POINTS.keys())
 @pytest.mark.parametrize("m,n", [(0, 3), (2, 0), (-1, 2)])
 def test_whole_group_calls_reject_an_empty_group(call, m, n):
-    # at call time: enumerate_group's generator is never advanced
+    # one check, before any index or budget: enumerate_group's generator is
+    # never advanced, and n = 0 is not reported as an index out of 0..n-1
     with pytest.raises(ValueError) as exc:
         call(m, n)
     assert type(exc.value) is ValueError
-    assert str(exc.value) == "need m >= 1 and n >= 1"
+    assert str(exc.value) == f"need m >= 1 and n >= 1, got ({m}, {n})"

@@ -162,6 +162,8 @@ NOT_AN_INT = "'float' object cannot be interpreted as an integer"
         (lambda: inv_closed(identity(2, 3), 1.0), TypeError, NOT_AN_INT),
         # gen_t picks its color without dividing by m, so m = 0 reaches the check
         (lambda: gen_t(0, 3, 1), ValueError, "need m >= 1 and n >= 1, got (0, 3)"),
+        # psi_inverse builds through the checked constructor, at m = 1
+        (lambda: psi_inverse(()), ValueError, "need m >= 1 and n >= 1, got (1, 0)"),
     ],
 )
 def test_constructor_checks_keep_their_errors(build, error, message):
