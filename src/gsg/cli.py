@@ -126,8 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_convert(args) -> int:
     if args.to_digits is not None:
-        if args.to_digits < 0:
-            raise DigitBoundError(f"{_decimal(args.to_digits)} is negative")
         print(encode(args.to_digits, args.m))
     else:
         print(decode(MixedRadixNumber.from_text(args.to_int, args.m)))
@@ -136,8 +134,6 @@ def _cmd_convert(args) -> int:
 
 def _cmd_element(args) -> int:
     if args.action == "encode":
-        if args.x < 0:
-            raise DigitBoundError(f"{_decimal(args.x)} is negative")
         _require_budget(args.n, "digits", args.m, args.n, args.budget)
         print(element_of_integer(args.x, args.m, args.n).window())
     else:

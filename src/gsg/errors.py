@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto process exit codes and checks its own arguments first.
-A group's bad ``m`` or ``n`` raises bare ValueError from one check,
-``group_core._dims``, whose one message gives both; the codec's ``encode``,
-``weights`` and ``encode_width`` keep theirs ("radix seed must be >= 1", ...).
+A group's bad ``m`` or ``n``, and a digit string's bad radix seed or width,
+raise bare ValueError from one check, ``mixed_radix._dims``, whose one
+message gives both.
 Plain OverflowError (builtin) is reserved for integers that do not fit
 a requested digit width.
 """
@@ -14,7 +14,7 @@ class GsgError(Exception):
 
 
 class DigitBoundError(GsgError, ValueError):
-    """A digit violates its positional bound 0 <= d_i <= m*(i+1)-1."""
+    """A digit outside its bound 0 <= d_i <= m*(i+1)-1, or a negative integer to encode."""
 
 
 class WindowParseError(GsgError, ValueError):

@@ -42,7 +42,7 @@ from .errors import (
     WindowParseError,
 )
 from .mixed_radix import (
-    Value, _decimal, _digit_count, _echo, _new, _quote, _radix_product, slot_setters
+    Value, _decimal, _digit_count, _dims, _echo, _new, _quote, _radix_product, slot_setters
 )
 
 __all__ = [
@@ -147,14 +147,6 @@ class GroupElement(Value):
 
 
 _set_m, _set_n, _set_beta, _set_colors = slot_setters(GroupElement)
-
-
-def _dims(m: int, n: int) -> tuple[int, int]:
-    """``(m, n)`` as ints if both are at least 1: the only check of a group's parameters."""
-    m, n = index(m), index(n)
-    if m < 1 or n < 1:
-        raise ValueError(f"need m >= 1 and n >= 1, got ({_decimal(m)}, {_decimal(n)})")
-    return m, n
 
 
 def group_order(m: int, n: int) -> int:

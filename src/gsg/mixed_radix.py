@@ -135,6 +135,15 @@ def _echo(values: tuple) -> str:
     return f"({shown},)" if len(values) == 1 else f"({shown})"
 
 
+def _dims(m: int, n: int) -> tuple[int, int]:
+    """``(m, n)`` as ints if both are at least 1: the only check of a group's
+    parameters and of a digit string's radix seed and width (n digits count G(m,1,n))."""
+    m, n = index(m), index(n)
+    if m < 1 or n < 1:
+        raise ValueError(f"need m >= 1 and n >= 1, got ({_decimal(m)}, {_decimal(n)})")
+    return m, n
+
+
 class MixedRadixNumber(Value):
     """A digit vector in the mixed-radix system with seed ``m``.
 
@@ -146,12 +155,8 @@ class MixedRadixNumber(Value):
     __slots__ = ("m", "digits")
 
     def __init__(self, m: int, digits: tuple[int, ...]):
-        m = index(m)
-        if m < 1:
-            raise DigitBoundError(f"radix seed must be >= 1, got {_decimal(m)}")
         digits = tuple(map(index, digits))
-        if len(digits) < 1:
-            raise DigitBoundError("a number has at least one digit")
+        m, _ = _dims(m, len(digits))
         for i, d in enumerate(digits):
             bound = m * (i + 1) - 1
             if not 0 <= d <= bound:
@@ -182,14 +187,14 @@ class MixedRadixNumber(Value):
     @classmethod
     def from_text(cls, text: str, m: int) -> "MixedRadixNumber":
         """Parse the colon-separated, most-significant-first text form."""
-        m = index(m)
         parts = text.split(":")
+        m, _ = _dims(m, len(parts))
         width = _digit_count(m * len(parts) - 1)  # of the largest bound
         digits = []
         for i, part in zip(range(len(parts) - 1, -1, -1), parts):
             if not (part.isascii() and part.isdigit()):
                 raise DigitBoundError(f"digit {_quote(part)} is not a decimal number")
-            if m >= 1 and len(part.lstrip("0")) > width:
+            if len(part.lstrip("0")) > width:
                 raise DigitBoundError(
                     f"digit of {len(part)} digits at position {i} exceeds bound"
                     f" {_decimal(m * (i + 1) - 1)} (m={_decimal(m)})"
@@ -206,9 +211,7 @@ _set_m, _set_digits = slot_setters(MixedRadixNumber)
 
 def weights(m: int, count: int) -> list[int]:
     """First ``count`` positional weights ``m**i * i!``, exactly."""
-    m, count = index(m), index(count)
-    if m < 1 or count < 1:
-        raise ValueError("m and count must be positive")
+    m, count = _dims(m, count)
     out = [1]
     for i in range(1, count):
         out.append(out[-1] * m * i)
@@ -291,10 +294,8 @@ def encode(x: int, m: int) -> MixedRadixNumber:
     """Minimal-width digits of ``x``: ``encode_width`` at the smallest width
     that holds it.  ``encode(0, m)`` is the single digit ``(0)``.
     """
-    x, m = index(x), index(m)
-    if m < 1:
-        raise ValueError(f"radix seed must be >= 1, got {_decimal(m)}")
-    return encode_width(x, m, _width(x, m))
+    x, (m, _) = index(x), _dims(m, 1)
+    return encode_width(x, m, _width(x, m) if x > 0 else 1)
 
 
 def encode_width(x: int, m: int, n: int) -> MixedRadixNumber:
@@ -304,13 +305,9 @@ def encode_width(x: int, m: int, n: int) -> MixedRadixNumber:
     lower positions leave.  Raises OverflowError when ``x >= m**n * n!``,
     i.e. when ``x`` does not fit in ``n`` digits.
     """
-    x, m, n = index(x), index(m), index(n)
-    if n < 1:
-        raise ValueError(f"width must be >= 1, got {_decimal(n)}")
+    x, (m, n) = index(x), _dims(m, n)
     if x < 0:
-        raise ValueError(f"cannot encode negative integer {_decimal(x)}")
-    if m < 1:
-        raise ValueError(f"radix seed must be >= 1, got {_decimal(m)}")
+        raise DigitBoundError(f"cannot encode negative integer {_decimal(x)}")
     digits = [0] * n
     # every radix past the first is at least 2, so x < m**k * k! at
     # k = bit_length + 1 and the positions above k are zero

@@ -248,6 +248,8 @@ class QPolynomial(Value):
 
     def __init__(self, coeffs: tuple[int, ...]):
         coeffs = tuple(map(index, coeffs))
+        if (c := min(coeffs, default=0)) < 0:
+            raise ValueError(f"coefficient {_decimal(c)} at degree {coeffs.index(c)} is negative")
         end = len(coeffs)
         while end and coeffs[end - 1] == 0:
             end -= 1

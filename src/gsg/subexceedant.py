@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from operator import index
 
 from .group_core import GroupElement, _window
-from .mixed_radix import MixedRadixNumber, _decimal, decode, encode_width
+from .mixed_radix import MixedRadixNumber, _decimal, _dims, decode, encode_width
 
 __all__ = [
     "psi",
@@ -43,8 +43,7 @@ def psi(f: Sequence[int]) -> tuple[int, ...]:
     for i = n down to 1.
     """
     f = tuple(f)
-    if not f:
-        raise ValueError("need at least one value")
+    _dims(1, len(f))
     for i, fi in enumerate(f, start=1):
         if not 1 <= fi <= i:
             raise ValueError(f"f({i}) = {_decimal(fi)} outside 1..{i}")

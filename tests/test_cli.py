@@ -605,6 +605,9 @@ def test_budget_errors_exit_4(capsys):
     code, out, err = run(capsys, "verify", "--m", "2", "--n", "60", "--budget", "10")
     assert code == 4
     assert out == "" and err.count("\n") == 1
+    # element encode counts its n digits before the codec reads a negative x
+    argv = ("element", "encode", "--m", "2", "--n", "5", "--budget", "3", "--", "-5")
+    assert run(capsys, *argv) == (4, "", "error: 5 digits for G(2,1,5) exceed budget 3\n")
 
 
 HUGE_N = ("100000000000", "9" * 5000)
@@ -892,8 +895,11 @@ NINES_TEXT = f"<{(10**5000 - 1).bit_length()}-bit number>"
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (("convert", "--m", "2", "--to-digits", NINES), f"{NINES_TEXT} is negative"),
-        (("element", "encode", "--m", "2", "--n", "3", "--", NINES), f"{NINES_TEXT} is negative"),
+        (("convert", "--m", "2", "--to-digits", NINES), f"cannot encode negative integer {NINES_TEXT}"),
+        (
+            ("element", "encode", "--m", "2", "--n", "3", "--", NINES),
+            f"cannot encode negative integer {NINES_TEXT}",
+        ),
         (("element", "encode", "--m", NINES, "--n", "3", "5"), f"--m must be >= 1, got {NINES_TEXT}"),
         (("element", "encode", "--m", "2", "--n", NINES, "5"), f"--n must be >= 1, got {NINES_TEXT}"),
         (("table", "--m", "2", "--n", "2", "--budget", NINES), f"--budget must be >= 1, got {NINES_TEXT}"),

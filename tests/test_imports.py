@@ -8,8 +8,9 @@ and fails on a name that a module imports and never mentions.
 A name in a module's ``__all__`` must be imported by another ``gsg``
 module, re-exported by ``__init__.py`` or imported by a demo: code that
 only the tests call belongs in the tests.  The message refusing a group's
-``(m, n)`` is written once, in ``group_core._dims``, which every entry point
-calls.
+``(m, n)``, or a digit string's radix seed and width, is written once, in
+``mixed_radix._dims``, which every entry point calls; the refusal of a
+negative integer to encode is written once, in ``encode_width``.
 """
 
 import ast
@@ -85,6 +86,8 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 
 
 RULE = "need m >= 1"  # the start of _dims's message
+# the codec's own messages before _dims, which a restated check would bring back
+RETIRED = ("radix seed must", "must be positive", "width must be", "at least one")
 
 
 def texts_containing(tree, text):
@@ -103,9 +106,16 @@ def test_the_group_parameter_rule_is_written_once():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
     dims = next(
         node
-        for node in ast.walk(trees["group_core"])
+        for node in ast.walk(trees["mixed_radix"])
         if isinstance(node, ast.FunctionDef) and node.name == "_dims"
     )
-    stated = [text for tree in trees.values() for text in texts_containing(tree, RULE)]
-    assert len(stated) == 1
-    assert stated == texts_containing(dims, RULE)
+
+    def stated(text):
+        return [t for tree in trees.values() for t in texts_containing(tree, text)]
+
+    assert len(stated(RULE)) == 1
+    assert stated(RULE) == texts_containing(dims, RULE)
+    for text in RETIRED:
+        assert stated(text) == [], text
+    # "is negative" would also find _negatives' docstring
+    assert len(stated("cannot encode negative")) == 1

@@ -157,7 +157,7 @@ def test_digit_bound_validation():
         MixedRadixNumber(7, (2, 14))
     with pytest.raises(DigitBoundError):
         MixedRadixNumber(7, (7,))
-    with pytest.raises(DigitBoundError):
+    with pytest.raises(ValueError, match=r"need m >= 1 and n >= 1, got \(7, 0\)"):
         MixedRadixNumber(7, ())
     MixedRadixNumber(7, (6, 13))  # maximal digits are fine
 
@@ -305,13 +305,12 @@ def test_radix_tree_cache_stays_bounded():
 @pytest.mark.parametrize(
     "call,message",
     [
-        (lambda: encode(-1, 2), "cannot encode negative integer -1"),
-        (lambda: encode(5, 0), "radix seed must be >= 1, got 0"),
-        (lambda: encode_width(5, 2, 0), "width must be >= 1, got 0"),
-        (lambda: encode_width(-1, 2, 3), "cannot encode negative integer -1"),
-        (lambda: encode_width(5, 0, 3), "radix seed must be >= 1, got 0"),
-        (lambda: weights(0, 3), "m and count must be positive"),
-        (lambda: weights(2, 0), "m and count must be positive"),
+        (lambda: encode(5, 0), "need m >= 1 and n >= 1, got (0, 1)"),
+        (lambda: encode_width(5, 2, 0), "need m >= 1 and n >= 1, got (2, 0)"),
+        (lambda: encode_width(5, 0, 3), "need m >= 1 and n >= 1, got (0, 3)"),
+        (lambda: weights(0, 3), "need m >= 1 and n >= 1, got (0, 3)"),
+        (lambda: weights(2, 0), "need m >= 1 and n >= 1, got (2, 0)"),
+        (lambda: MixedRadixNumber.from_text("1:2", 0), "need m >= 1 and n >= 1, got (0, 2)"),
     ],
 )
 def test_bad_codec_arguments_raise_plain_value_error(call, message):
@@ -319,6 +318,21 @@ def test_bad_codec_arguments_raise_plain_value_error(call, message):
         call()
     assert type(exc.value) is ValueError
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("call", [lambda: encode(-1, 2), lambda: encode_width(-1, 2, 3)])
+def test_a_negative_integer_to_encode_raises_digit_bound_error(call):
+    with pytest.raises(DigitBoundError) as exc:
+        call()
+    assert str(exc.value) == "cannot encode negative integer -1"
+
+
+def test_encode_refuses_a_negative_integer_before_sizing_it():
+    # sizing |x| would build radix products as long as x before the refusal
+    _radix_product.cache_clear()
+    with pytest.raises(DigitBoundError):
+        encode(-(10**5000), 2)
+    assert _radix_product.cache_info().misses == 0
 
 
 BIG = 10**5000  # past CPython's 4300-digit int-to-str limit
@@ -347,7 +361,11 @@ BIG_TEXT = f"<{BIG.bit_length()}-bit number>"
             DigitBoundError,
             f"digit {BIG_TEXT} at position 0 exceeds bound 1 (m=2)",
         ),
-        (lambda: encode_width(-BIG, 2, 3), ValueError, f"cannot encode negative integer {BIG_TEXT}"),
+        (
+            lambda: encode_width(-BIG, 2, 3),
+            DigitBoundError,
+            f"cannot encode negative integer {BIG_TEXT}",
+        ),
         (lambda: gen_s(2, 3, BIG), IndexOutOfRange, f"transposition index {BIG_TEXT} outside 1..2"),
         (lambda: delta_block(2, 3, BIG), IndexOutOfRange, f"block index {BIG_TEXT} outside 1..3"),
         (lambda: psi((1, BIG)), ValueError, f"f(2) = {BIG_TEXT} outside 1..2"),

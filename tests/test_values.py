@@ -126,8 +126,8 @@ NOT_AN_INT = "'float' object cannot be interpreted as an integer"
 @pytest.mark.parametrize(
     "build, error, message",
     [
-        (lambda: MixedRadixNumber(0, (0,)), DigitBoundError, "radix seed must be >= 1, got 0"),
-        (lambda: MixedRadixNumber(3, ()), DigitBoundError, "a number has at least one digit"),
+        (lambda: MixedRadixNumber(0, (0,)), ValueError, "need m >= 1 and n >= 1, got (0, 1)"),
+        (lambda: MixedRadixNumber(3, ()), ValueError, "need m >= 1 and n >= 1, got (3, 0)"),
         (
             lambda: MixedRadixNumber(7, (2, 14)),
             DigitBoundError,
@@ -144,13 +144,14 @@ NOT_AN_INT = "'float' object cannot be interpreted as an integer"
         (lambda: GroupElement(3, 3, (1, 2, 3), (0, 0)), ValueError, "one color per position required"),
         (lambda: GroupElement(3, 3, (1, 2, 3), (0, 3, 0)), ValueError, "color 3 outside 0..2"),
         # psi checks the subexceedant values it is given
-        (lambda: psi(()), ValueError, "need at least one value"),
+        (lambda: psi(()), ValueError, "need m >= 1 and n >= 1, got (1, 0)"),
         (lambda: psi((1, 3)), ValueError, "f(2) = 3 outside 1..2"),
         (lambda: psi((float("inf"),)), ValueError, "f(1) = inf outside 1..1"),
         # integers go through operator.index: a float is refused, not read as an index
         (lambda: psi_inverse((1.0, 2.0)), TypeError, NOT_AN_INT),
         (lambda: MixedRadixNumber.from_text("1:0", 2.0), TypeError, NOT_AN_INT),
         (lambda: QPolynomial((1.5,)), TypeError, NOT_AN_INT),
+        (lambda: QPolynomial((1, -2)), ValueError, "coefficient -2 at degree 1 is negative"),
         # a rank of 5/2 would build a color of 3/2
         (
             lambda: unrank(Fraction(5, 2), 2, 3),
