@@ -9,12 +9,14 @@ from gsg import (
     element_of_digits,
     element_of_integer,
     digits_of_element,
+    encode,
     encode_width,
     integer_of_element,
     longest_element,
     parse_window,
+    psi,
+    psi_inverse,
 )
-from gsg.subexceedant import psi, psi_inverse
 
 m, n = 3, 5
 x = 2161
@@ -49,7 +51,6 @@ print("identity ->", integer_of_element(parse_window("1 2 3 4 5", m)))
 text = "THE QUICK BROWN FOX JUMPS OVER THE LAZY DOG"
 big = int("".join(str(ord(c)) for c in text))
 print("pangram integer:", big)
-from gsg import encode
 
 digits = encode(big, 7)
 print("pangram digits:", digits)

@@ -124,35 +124,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_convert(args) -> int:
+def _cmd_convert(args) -> None:
     if args.to_digits is not None:
         print(encode(args.to_digits, args.m))
     else:
         print(decode(MixedRadixNumber.from_text(args.to_int, args.m)))
-    return EXIT_OK
 
 
-def _cmd_element(args) -> int:
+def _cmd_element(args) -> None:
     if args.action == "encode":
         _require_budget(args.n, "digits", args.m, args.n, args.budget)
         print(element_of_integer(args.x, args.m, args.n).window())
     else:
         print(integer_of_element(parse_window(args.window, args.m)))
-    return EXIT_OK
 
 
-def _cmd_rank(args) -> int:
+def _cmd_rank(args) -> None:
     print(rank(parse_window(args.window, args.m)))
-    return EXIT_OK
 
 
-def _cmd_unrank(args) -> int:
+def _cmd_unrank(args) -> None:
     _require_budget(args.n * (args.n - 1) // 2, "list moves", args.m, args.n, args.budget)
     print(unrank(args.rank, args.m, args.n).window())
-    return EXIT_OK
 
 
-def _cmd_stats(args) -> int:
+def _cmd_stats(args) -> None:
     import json  # only `gsg stats` pays for it
 
     w = parse_window(args.window, args.m)
@@ -168,10 +164,9 @@ def _cmd_stats(args) -> int:
     if args.bfs:
         out["canonical_length"] = canonical_length(w)
     print(json.dumps(out))
-    return EXIT_OK
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> None:
     m, n, budget = args.m, args.n, args.budget
     order = _require_budget(_order_within(m, n, budget), "elements", m, n, budget)
     elements = (unrank(r, m, n) for r in range(1, order + 1))
@@ -186,12 +181,10 @@ def _cmd_table(args) -> int:
             print(f'{sep}{{"rank": {r}, "window": "{window}", "inv_table": "{inv}"}}', end="")
             sep = ", "
         print("]")
-    return EXIT_OK
 
 
-def _cmd_poincare(args) -> int:
+def _cmd_poincare(args) -> None:
     print(poincare(args.m, args.n, args.budget))
-    return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
@@ -203,7 +196,7 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all(ok for _, ok in results) else EXIT_VERIFY_FAILED
 
 
-def _cmd_text_encode(args) -> int:
+def _cmd_text_encode(args) -> None:
     if not args.text:
         raise WindowParseError("empty input")
     for ch in args.text:
@@ -214,7 +207,6 @@ def _cmd_text_encode(args) -> int:
     print(x)
     print(digits)
     print(digits.n)
-    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -230,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
             if value is not None and value < 1:
                 print(f"error: --{field} must be >= 1, got {_decimal(value)}", file=sys.stderr)
                 return EXIT_PARSE
-        return args.run(args)
+        return args.run(args) or EXIT_OK
     except (WindowParseError, DigitBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -4,23 +4,33 @@ has a caller outside the tests.
 No linter runs on this repository, so a deletion can leave an import
 behind unnoticed.  This test reads each module's syntax tree with ``ast``
 and fails on a name that a module imports and never mentions.
-``__init__.py`` is left out: its imports are the package's re-exports.
-A name in a module's ``__all__`` must be imported by another ``gsg``
-module, re-exported by ``__init__.py`` or imported by a demo: code that
-only the tests call belongs in the tests.  The message refusing a group's
-``(m, n)``, or a digit string's radix seed and width, is written once, in
-``mixed_radix._dims``, which every entry point calls; the refusal of a
-negative integer to encode is written once, in ``encode_width``.
+``__init__.py`` is left out: it re-exports each module's ``__all__``,
+and a re-export is not a caller.  A name in a module's ``__all__`` must be
+imported by another ``gsg`` module or by a demo, from its module or from
+``gsg``, or read as ``gsg.X`` or ``G.X`` by the benchmark in ``bench/``:
+code that only the tests call belongs in the tests.  The package exports
+every such name, and its version is the one ``pyproject.toml`` declares.
+The message refusing a group's ``(m, n)``, or a digit string's radix seed
+and width, is written once, in ``mixed_radix._dims``, which every entry
+point calls; the refusal of a negative integer to encode is written once,
+in ``encode_width``.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gsg"
+import gsg
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gsg"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-DEMOS = sorted((SRC.parent.parent / "demos").glob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
+# the modules whose __all__ the package re-exports; gsg.verify is loaded on demand
+EXPORTED = ("group_core", "mixed_radix", "statistics", "subexceedant")
 
 
 def unused_imports(source):
@@ -69,20 +79,57 @@ def public_names(source):
     return []
 
 
+def package_reads(source):
+    """The names ``source`` reads as attributes of ``gsg`` or ``G``, the
+    benchmark's name for the package."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("gsg", "G")
+    }
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
-    imported = set()
-    for path in [*SRC.glob("*.py"), *DEMOS]:
-        imported |= imports_from(path.read_text(encoding="utf-8"))
-    # the scan sees a demo's import and a module's __all__
-    assert ("subexceedant", "psi") in imported
-    assert "rank" in public_names((SRC / "statistics.py").read_text(encoding="utf-8"))
-    unused = [
-        f"{path.stem}.{name}"
+    home = {
+        name: path.stem
         for path in MODULES
         for name in public_names(path.read_text(encoding="utf-8"))
-        if (path.stem, name) not in imported
-    ]
+    }
+    called = set()
+    for path in [*MODULES, *DEMOS]:
+        for module, name in imports_from(path.read_text(encoding="utf-8")):
+            called.add((home.get(name) if module == "gsg" else module, name))
+    for path in BENCH:
+        for name in package_reads(path.read_text(encoding="utf-8")):
+            called.add((home.get(name), name))
+    # the scan sees a module's import, a demo's import from gsg, a benchmark's
+    # read of G.X and a module's __all__
+    assert ("verify", "run_property_checks") in called
+    assert ("subexceedant", "psi") in called
+    assert ("group_core", "group_order") in called
+    assert "rank" in public_names((SRC / "statistics.py").read_text(encoding="utf-8"))
+    unused = [f"{module}.{name}" for name, module in home.items() if (module, name) not in called]
     assert unused == []
+
+
+def test_the_package_exports_every_public_name():
+    modules = [getattr(gsg, stem) for stem in EXPORTED]
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in module.__all__
+        if getattr(gsg, name, None) is not getattr(module, name)
+    ]
+    assert missing == []
+
+
+def test_the_version_is_the_one_pyproject_declares():
+    # a regex, as tomllib is new in Python 3.11
+    declared = re.search(r'^version = "([^"]+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    assert declared is not None
+    assert gsg.__version__ == declared[1]
 
 
 RULE = "need m >= 1"  # the start of _dims's message
