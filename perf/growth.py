@@ -37,7 +37,8 @@ import tracemalloc
 from pathlib import Path
 
 OPS = (
-    "element_of_integer", "integer_of_element", "unrank", "inverse", "power", "parse_window"
+    "element_of_integer", "integer_of_element", "unrank", "inverse", "power", "parse_window",
+    "GroupElement",
 )
 MS = (1, 2, 5)
 NS = (8, 100, 500, 2000)
@@ -53,7 +54,7 @@ def _calls(m: int, n: int) -> dict:
     """One zero-argument call per operation, on inputs seeded by (m, n)."""
     import random
 
-    from gsg.group_core import group_order, inverse, parse_window, power
+    from gsg.group_core import GroupElement, group_order, inverse, parse_window, power
     from gsg.statistics import unrank
     from gsg.subexceedant import element_of_integer, integer_of_element
 
@@ -69,6 +70,8 @@ def _calls(m: int, n: int) -> dict:
         "inverse": lambda: inverse(w),
         "power": lambda: power(w, POWER),
         "parse_window": lambda: parse_window(text, m),
+        # the checked constructor fed new ints: b + 0 is a new object past 256
+        "GroupElement": lambda: GroupElement(m, n, [b + 0 for b in w.beta], w.colors),
     }
 
 

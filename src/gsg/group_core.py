@@ -16,13 +16,13 @@ sending ``k`` to ``u(v(k))`` on colored values.
 
 Where window values come from: CPython shares only the ints -5..256, so a
 window of n values built with ``range`` holds its own n - 256 int objects of
-32 bytes each.  Every window the library builds shares one pool of the ints
-1..N instead: ``unrank``, ``phi``, ``element_of_digits``, ``inverse``,
-``identity`` and the generators take their values from :func:`_window`, and
-``multiply`` and ``power`` reuse their input's values.  The checked
-constructor and :func:`parse_window` keep the caller's ints.  The pool grows
-by rebinding a longer tuple, never by extending a shared list in place: two
-threads extending one list could both append the same range and break
+32 bytes each.  Every window shares one pool of the ints 1..N instead: the
+builders take their values from it, ``multiply`` and ``power`` reuse their
+input's, and the checked constructor and :func:`parse_window` swap each
+value for the pool's once every check has passed, so a refused input never
+grows it.  N is the largest n built so far.  The pool grows by rebinding a
+longer tuple, never by extending a shared list in place: two threads
+extending one list could both append the same range and break
 ``pool[k - 1] == k``, while a rebind lost to another thread only leaves some
 windows holding their own objects.
 """
@@ -71,17 +71,16 @@ _pool: tuple[int, ...] = ()  # _pool[k - 1] is k; see the module docstring
 
 def _window(n: int) -> list[int]:
     """The identity window ``[1..n]``, a new list of the pool's int objects."""
-    pool = _pool  # read once: another thread may rebind it
-    if len(pool) < n:
-        pool = _grow(n)
-    return list(pool[:n])
+    return list(_grow(n)[:n])
 
 
 def _grow(n: int) -> tuple[int, ...]:
-    """Rebind the pool to a longer one that reaches ``n`` and keeps its objects."""
+    """The pool, reaching ``n``: a shorter one is first rebound to a longer
+    one that keeps its objects."""
     global _pool
-    pool = _pool
-    _pool = pool = pool + tuple(range(len(pool) + 1, n + 1))
+    pool = _pool  # read once: another thread may rebind it
+    if len(pool) < n:
+        _pool = pool = pool + tuple(range(len(pool) + 1, n + 1))
     return pool
 
 
@@ -106,9 +105,10 @@ class GroupElement(Value):
         for r in colors:
             if not 0 <= r <= m - 1:
                 raise ValueError(f"color {_decimal(r)} outside 0..{_decimal(m - 1)}")
+        pool = _grow(n)  # only once every check has passed
         _set_m(self, m)
         _set_n(self, n)
-        _set_beta(self, beta)
+        _set_beta(self, tuple([pool[b - 1] for b in beta]))
         _set_colors(self, colors)
 
     @staticmethod
@@ -201,10 +201,7 @@ def inverse(u: GroupElement) -> GroupElement:
     m, n = u.m, u.n
     beta_inv = [0] * n
     colors = [0] * n
-    pool = _pool
-    if len(pool) < n:
-        pool = _grow(n)
-    for k, image, c in zip(pool, u.beta, u.colors):  # the pool's ints as positions
+    for k, image, c in zip(_grow(n), u.beta, u.colors):  # the pool's ints as positions
         beta_inv[image - 1] = k
         if c:
             colors[image - 1] = m - c
@@ -337,7 +334,7 @@ def parse_window(text: str, m: int) -> GroupElement:
     entries = text.split(" ")
     m, n = _dims(m, len(entries))
     value_width, color_width = _digit_count(n), _digit_count(m - 1)
-    beta = []
+    values = []
     colors = []
     fullmatch = _ENTRY_RE.fullmatch
     for pos, entry in enumerate(entries, start=1):
@@ -366,13 +363,16 @@ def parse_window(text: str, m: int) -> GroupElement:
                 )
         if len(value_text) > value_width:
             raise WindowParseError(f"entry {pos}: value of {len(value_text)} digits outside 1..{n}")
-        beta.append(int(value_text))
+        values.append(value_text)
         colors.append(color)
-    for pos, value in enumerate(beta, start=1):
-        if not 1 <= value <= n:
-            raise WindowParseError(f"entry {pos}: value {value} outside 1..{n}")
-    if len(set(beta)) != n:
+    beta = list(map(int, values))
+    # values are >= 0; a bad window takes the slow loop that names its entry
+    if 0 in beta or max(beta) > n or len(set(beta)) != n:
+        for pos, value in enumerate(beta, start=1):
+            if not 1 <= value <= n:
+                raise WindowParseError(f"entry {pos}: value {value} outside 1..{n}")
         counts = Counter(beta)
         dup = next(v for v in beta if counts[v] > 1)
         raise WindowParseError(f"value {dup} appears more than once")
-    return GroupElement._unchecked(m, n, tuple(beta), tuple(colors))
+    pool = _grow(n)
+    return GroupElement._unchecked(m, n, tuple([pool[b - 1] for b in beta]), tuple(colors))

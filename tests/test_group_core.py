@@ -1,6 +1,8 @@
 """Group arithmetic tests: presentation relations, word lengths, text format."""
 
+import copy
 import itertools
+import pickle
 import random
 import sys
 import threading
@@ -493,14 +495,27 @@ def test_library_built_windows_share_the_pools_ints():
         assert_pool_ints(w)
 
 
-def test_checked_constructor_and_parse_window_keep_the_callers_ints():
-    n = 300
-    beta = tuple(int(str(v)) for v in range(1, n + 1))  # fresh objects past 256
-    w = GroupElement(1, n, beta, (0,) * n)
-    assert all(a is b for a, b in zip(w.beta, beta))
+def fresh_ints(values):
+    """New int objects equal to ``values``; past 256 none is CPython's shared one."""
+    return [int(str(v)) for v in values]
+
+
+def test_checked_constructor_and_parse_window_take_the_pools_ints():
+    m, n = 3, 300
+    rng = random.Random(300)
+    beta = fresh_ints(rng.sample(range(1, n + 1), n))
+    colors = tuple(rng.randrange(m) for _ in range(n))
     pool = _window(n)
-    parsed = parse_window(w.window(), 1)
-    assert parsed == w and parsed.beta[-1] is not pool[-1]
+    assert any(b is not pool[b - 1] for b in beta)
+    w = GroupElement(m, n, beta, colors)
+    parsed = parse_window(w.window(), m)
+    assert parsed == w
+    # an element holding its own ints: copies and pickles rebuild through the constructor
+    own = GroupElement._unchecked(m, n, tuple(fresh_ints(w.beta)), w.colors)
+    copies = [copy.copy(own), copy.deepcopy(own), pickle.loads(pickle.dumps(own))]
+    assert copies == [w] * 3
+    for built in (w, parsed, *copies):
+        assert_pool_ints(built)
 
 
 def test_built_elements_retain_no_ints_of_their_own():
@@ -508,15 +523,24 @@ def test_built_elements_retain_no_ints_of_their_own():
     m, n = 2, 2000
     rng = random.Random(2000)
     xs = [rng.randrange(group_order(m, n)) for _ in range(20)]
-    element_of_integer(0, m, n)  # the pool reaches n before the trace
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        kept = [element_of_integer(x, m, n) for x in xs]
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert retained / len(kept) < 40_000
+    ws = [element_of_integer(x, m, n) for x in xs]  # the pool reaches n before the trace
+    texts = [w.window() for w in ws]
+    builds = {
+        "element_of_integer": lambda i: element_of_integer(xs[i], m, n),
+        # the caller's fresh ints are dropped once the element is built
+        "GroupElement": lambda i: GroupElement(m, n, fresh_ints(ws[i].beta), ws[i].colors),
+        "parse_window": lambda i: parse_window(texts[i], m),
+    }
+    for name, build in builds.items():
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [build(i) for i in range(len(xs))]
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept == ws
+        assert retained / len(kept) < 40_000, name
 
 
 def test_pool_grows_race_free_under_threads(monkeypatch):
@@ -546,15 +570,36 @@ def test_pool_grows_race_free_under_threads(monkeypatch):
     assert list(pool) == list(range(1, len(pool) + 1))
 
 
-@pytest.mark.parametrize(
-    "build",
-    [identity, lambda m, n: gen_s(m, n, 1), lambda m, n: gen_t(m, n, 1), longest_element],
-    ids=["identity", "gen_s", "gen_t", "longest_element"],
-)
-def test_a_refused_build_leaves_the_pool_alone(monkeypatch, build):
-    # m and n are checked before the window is taken, so no 10^5 ints stay behind
+REFUSED_DIMS = "need m >= 1 and n >= 1, got (0, 100000)"
+REFUSED_BUILDS = {
+    "identity": (lambda: identity(0, 10**5), REFUSED_DIMS),
+    "gen_s": (lambda: gen_s(0, 10**5, 1), REFUSED_DIMS),
+    "gen_t": (lambda: gen_t(0, 10**5, 1), REFUSED_DIMS),
+    "longest_element": (lambda: longest_element(0, 10**5), REFUSED_DIMS),
+    "GroupElement-length": (
+        lambda: GroupElement(1, 10**5, (1,), (0,)), "(1,) is not a permutation of 1..100000"
+    ),
+    "GroupElement-not-a-permutation": (
+        lambda: GroupElement(1, 3, (1, 3, 1), (0, 0, 0)),
+        "(1, 3, 1) is not a permutation of 1..3",
+    ),
+    "GroupElement-color": (
+        lambda: GroupElement(2, 3, (1, 2, 3), (0, 2, 0)), "color 2 outside 0..1"
+    ),
+    "parse_window-duplicate": (
+        lambda: parse_window("1 3 1", 1), "value 1 appears more than once"
+    ),
+    "parse_window-out-of-range": (
+        lambda: parse_window("1 4 2", 1), "entry 2: value 4 outside 1..3"
+    ),
+}
+
+
+@pytest.mark.parametrize("build, message", REFUSED_BUILDS.values(), ids=REFUSED_BUILDS)
+def test_a_refused_build_leaves_the_pool_alone(monkeypatch, build, message):
+    # every check runs before the pool grows: a refused 10^5 leaves no ints behind
     monkeypatch.setattr(gsg.group_core, "_pool", ())
     with pytest.raises(ValueError) as exc:
-        build(0, 10**5)
-    assert str(exc.value) == "need m >= 1 and n >= 1, got (0, 100000)"
+        build()
+    assert str(exc.value) == message
     assert len(gsg.group_core._pool) == 0
