@@ -6,7 +6,6 @@ a valid digit string; decoding it (plus one) ranks the group.
 """
 
 from gsg import (
-    delta,
     delta_block,
     inv_closed,
     inv_oracle,
@@ -34,8 +33,8 @@ print("rank:", rank(w))
 print("unrank back:", unrank(rank(w), m, n))
 
 # block sizes of the simple-side set: m(n-i+1)-1 rooted at coordinate n+1-i
-print("block sizes:", [len(delta_block(m, n, i)) for i in range(1, n + 1)],
-      " total:", len(delta(m, n)))
+sizes = [len(delta_block(m, n, i)) for i in range(1, n + 1)]
+print("block sizes:", sizes, " total:", sum(sizes))
 
 # rank 1 is the identity, the top rank is the longest element
 print("rank 1 of G(3,1,3):", unrank(1, 3, 3))

@@ -8,9 +8,10 @@ Run from the root of a checkout, naming each tree of sources to measure as
 For each operation in ``OPS``, at each n of ``--n`` (default 8 100 500 2000)
 and each m in ``MS``, a case records
 
-- ``us_per_call``: the best of ``REPEATS`` timed repeats in each of
-  ``ROUNDS`` rounds, in microseconds per call; a case stops repeating once
-  it has run ``CAP_S`` seconds in a round;
+- ``us_per_round``: each of ``ROUNDS`` rounds' best of ``REPEATS`` timed
+  repeats, in microseconds per call, in round order; a case stops repeating
+  once it has run ``CAP_S`` seconds in a round;
+- ``us_per_call``: the least of ``us_per_round``;
 - ``retained_bytes``: what tracemalloc still counts allocated per result,
   over ``KEEP`` results kept alive (small tuples come from CPython's free
   lists, so at n = 8 this can read near 0).
@@ -38,7 +39,7 @@ from pathlib import Path
 
 OPS = (
     "element_of_integer", "integer_of_element", "unrank", "inverse", "power", "parse_window",
-    "GroupElement",
+    "GroupElement", "identity",
 )
 MS = (1, 2, 5)
 NS = (8, 100, 500, 2000)
@@ -54,7 +55,7 @@ def _calls(m: int, n: int) -> dict:
     """One zero-argument call per operation, on inputs seeded by (m, n)."""
     import random
 
-    from gsg.group_core import GroupElement, group_order, inverse, parse_window, power
+    from gsg.group_core import GroupElement, group_order, identity, inverse, parse_window, power
     from gsg.statistics import unrank
     from gsg.subexceedant import element_of_integer, integer_of_element
 
@@ -72,6 +73,7 @@ def _calls(m: int, n: int) -> dict:
         "parse_window": lambda: parse_window(text, m),
         # the checked constructor fed new ints: b + 0 is a new object past 256
         "GroupElement": lambda: GroupElement(m, n, [b + 0 for b in w.beta], w.colors),
+        "identity": lambda: identity(m, n),
     }
 
 
@@ -148,8 +150,9 @@ def main(argv: list[str] | None = None) -> None:
             runs[t]["src_sha256"] = block["src_sha256"]
             for case in block["cases"]:
                 key = (OPS.index(case["op"]), m, n)
-                best = runs[t]["cases"].setdefault(key, case)
-                best["us_per_call"] = min(best["us_per_call"], case["us_per_call"])
+                kept = runs[t]["cases"].setdefault(key, {**case, "us_per_round": []})
+                kept["us_per_round"].append(case["us_per_call"])
+                kept["us_per_call"] = min(kept["us_per_round"])
     for run in runs:
         run["cases"] = [run["cases"][key] for key in sorted(run["cases"])]
     record = {

@@ -84,6 +84,12 @@ def _grow(n: int) -> tuple[int, ...]:
     return pool
 
 
+def _is_window(beta: Sequence[int], n: int) -> bool:
+    """Whether ``beta`` holds each of 1..n once: the one permutation test, in
+    linear time; the bounds come first, as a value below 1 would index the pool."""
+    return len(beta) == n and min(beta) >= 1 and max(beta) <= n and len(set(beta)) == n
+
+
 class GroupElement(Value):
     """A colored permutation: ``k -> beta[k]`` with color ``colors[k]``.
 
@@ -98,7 +104,7 @@ class GroupElement(Value):
     ):
         m, n = _dims(m, n)
         beta, colors = tuple(map(index, beta)), tuple(map(index, colors))
-        if len(beta) != n or sorted(beta) != list(range(1, n + 1)):
+        if not _is_window(beta, n):
             raise ValueError(f"{_echo(beta)} is not a permutation of 1..{_decimal(n)}")
         if len(colors) != n:
             raise ValueError("one color per position required")
@@ -177,7 +183,7 @@ def _require_budget(work: int | None, unit: str, m: int, n: int, budget: int) ->
 
 def identity(m: int, n: int) -> GroupElement:
     m, n = _dims(m, n)
-    return GroupElement._unchecked(m, n, tuple(_window(n)), (0,) * n)
+    return GroupElement._unchecked(m, n, _grow(n)[:n], (0,) * n)
 
 
 def multiply(u: GroupElement, v: GroupElement) -> GroupElement:
@@ -261,7 +267,7 @@ def gen_t(m: int, n: int, i: int) -> GroupElement:
         raise IndexOutOfRange(f"color generator index {_decimal(i)} outside 1..{_decimal(n)}")
     colors = [0] * n
     colors[i - 1] = int(m > 1)  # m = 1 has no colors
-    return GroupElement._unchecked(m, n, tuple(_window(n)), tuple(colors))
+    return GroupElement._unchecked(m, n, _grow(n)[:n], tuple(colors))
 
 
 def gen_sigma(m: int, n: int, i: int) -> GroupElement:
@@ -278,7 +284,7 @@ def gen_sigma(m: int, n: int, i: int) -> GroupElement:
 def longest_element(m: int, n: int) -> GroupElement:
     """Identity permutation with every color maximal (identity when m = 1)."""
     m, n = _dims(m, n)
-    return GroupElement._unchecked(m, n, tuple(_window(n)), (m - 1,) * n)
+    return GroupElement._unchecked(m, n, _grow(n)[:n], (m - 1,) * n)
 
 
 def _earlier_smaller(beta: Sequence[int]) -> list[int]:
@@ -366,8 +372,7 @@ def parse_window(text: str, m: int) -> GroupElement:
         values.append(value_text)
         colors.append(color)
     beta = list(map(int, values))
-    # values are >= 0; a bad window takes the slow loop that names its entry
-    if 0 in beta or max(beta) > n or len(set(beta)) != n:
+    if not _is_window(beta, n):  # a bad window takes the slow loop that names its entry
         for pos, value in enumerate(beta, start=1):
             if not 1 <= value <= n:
                 raise WindowParseError(f"entry {pos}: value {value} outside 1..{n}")

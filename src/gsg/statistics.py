@@ -29,7 +29,6 @@ from .mixed_radix import (
 
 __all__ = [
     "QPolynomial",
-    "delta",
     "delta_block",
     "length_L",
     "inv_oracle",
@@ -43,16 +42,6 @@ __all__ = [
     "poincare",
     "histogram",
 ]
-
-
-def delta(m: int, n: int) -> list[tuple[int, int, int, int]]:
-    """The simple-side set: ``e_j`` minus any colored ``e_l`` with ``l <= j``,
-    the union of its blocks from anchor ``j = 1`` up to ``n``.
-
-    At m = 1 this is the symmetric group's type-A set, ``l < j`` only.
-    """
-    m, n = _dims(m, n)
-    return [r for i in range(n, 0, -1) for r in delta_block(m, n, i)]
 
 
 def delta_block(m: int, n: int, i: int) -> list[tuple[int, int, int, int]]:
@@ -70,7 +59,7 @@ def length_L(w: GroupElement) -> int:
     """The root-theoretic length, as the sum of the i-inversion numbers.
 
     Length additivity makes this equal to the number of simple-side roots
-    ``w`` sends negative, which :func:`_negatives` counts over :func:`delta`.
+    ``w`` sends negative: :func:`_negatives` summed over each :func:`delta_block`.
     """
     return sum(_inversions(w))
 

@@ -90,8 +90,8 @@ def run_property_checks(
     elements = enumerate_group(m, n, budget)
     e = identity(m, n)
     passed = dict.fromkeys(_CHECKS, True)
-    # least significant first, as inversion_table's digits; delta is the union
-    # of these blocks by construction, so their counts sum to the length
+    # least significant first, as inversion_table's digits; the simple-side set
+    # is the union of these blocks, so their counts sum to the length
     blocks = [delta_block(m, n, i) for i in range(n, 0, -1)]
     inv_counts, fmaj_counts = Counter(), Counter()
     while chunk := list(islice(elements, _CHUNK)):

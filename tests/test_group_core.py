@@ -9,6 +9,7 @@ import threading
 import time
 import tracemalloc
 from functools import reduce
+from operator import index
 
 import pytest
 from hypothesis import given, settings
@@ -579,6 +580,17 @@ REFUSED_BUILDS = {
     "GroupElement-length": (
         lambda: GroupElement(1, 10**5, (1,), (0,)), "(1,) is not a permutation of 1..100000"
     ),
+    "GroupElement-zero": (
+        lambda: GroupElement(1, 3, (0, 1, 2), (0, 0, 0)), "(0, 1, 2) is not a permutation of 1..3"
+    ),
+    # pool[-2] is 2: a window test that only looked for 0 would store (2, 2, 3)
+    "GroupElement-negative": (
+        lambda: GroupElement(1, 3, (-1, 2, 3), (0, 0, 0)),
+        "(-1, 2, 3) is not a permutation of 1..3",
+    ),
+    "GroupElement-past-n": (
+        lambda: GroupElement(1, 3, (1, 2, 4), (0, 0, 0)), "(1, 2, 4) is not a permutation of 1..3"
+    ),
     "GroupElement-not-a-permutation": (
         lambda: GroupElement(1, 3, (1, 3, 1), (0, 0, 0)),
         "(1, 3, 1) is not a permutation of 1..3",
@@ -603,3 +615,40 @@ def test_a_refused_build_leaves_the_pool_alone(monkeypatch, build, message):
         build()
     assert str(exc.value) == message
     assert len(gsg.group_core._pool) == 0
+
+
+@st.composite
+def near_windows(draw, max_n=12):
+    """``(m, n, beta, colors)``: a permutation of 1..n with up to three edits.
+    An edit sets an entry to 0, a negative, n + 1, a bool or another entry's
+    value, or drops an entry, or adds one."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, max_n))
+    beta = draw(st.permutations(range(1, n + 1)))
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(("set", "drop", "add")))
+        value = draw(st.sampled_from((0, n + 1, True, False, *beta)) | st.integers(-n - 2, -1))
+        if edit == "add" or not beta:
+            beta.insert(draw(st.integers(0, len(beta))), value)
+        elif edit == "drop":
+            del beta[draw(st.integers(0, len(beta) - 1))]
+        else:
+            beta[draw(st.integers(0, len(beta) - 1))] = value
+    colors = tuple(draw(st.integers(0, m - 1)) for _ in range(n))
+    return m, n, tuple(beta), colors
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(near_windows())
+def test_checked_constructor_accepts_exactly_the_permutations_property(case):
+    m, n, beta, colors = case
+    values = tuple(map(index, beta))  # a bool is the int 0 or 1
+    # the oracle: the sorting test the constructor used before its linear one
+    if len(values) == n and sorted(values) == list(range(1, n + 1)):
+        w = GroupElement(m, n, beta, colors)
+        assert w.beta == values and w.colors == colors
+        assert_pool_ints(w)
+    else:
+        with pytest.raises(ValueError) as exc:
+            GroupElement(m, n, beta, colors)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == f"{values} is not a permutation of 1..{n}"

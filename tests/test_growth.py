@@ -35,5 +35,8 @@ def test_growth_record_at_n_8_has_every_key(tmp_path):
     cases = run["cases"]
     assert [(c["op"], c["m"], c["n"]) for c in cases] == list(product(growth.OPS, growth.MS, [8]))
     for case in cases:
-        assert set(case) == {"op", "m", "n", "us_per_call", "retained_bytes"}
+        assert set(case) == {"op", "m", "n", "us_per_call", "us_per_round", "retained_bytes"}
         assert case["us_per_call"] > 0 and isinstance(case["retained_bytes"], int)
+        # every round's best is kept, and the case's time is the least of them
+        assert len(case["us_per_round"]) == growth.ROUNDS
+        assert case["us_per_call"] == min(case["us_per_round"])

@@ -13,7 +13,9 @@ every such name, and its version is the one ``pyproject.toml`` declares.
 The message refusing a group's ``(m, n)``, or a digit string's radix seed
 and width, is written once, in ``mixed_radix._dims``, which every entry
 point calls; the refusal of a negative integer to encode is written once,
-in ``encode_width``.
+in ``encode_width``.  Both entry points of a window, the checked
+``GroupElement`` constructor and ``parse_window``, test it with the one
+linear predicate ``group_core._is_window``, and ``group_core`` sorts nothing.
 """
 
 import ast
@@ -166,3 +168,27 @@ def test_the_group_parameter_rule_is_written_once():
         assert stated(text) == [], text
     # "is negative" would also find _negatives' docstring
     assert len(stated("cannot encode negative")) == 1
+
+
+def calls_to(tree, name):
+    """The calls under ``tree`` of the plain name ``name``."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+    ]
+
+
+def test_the_window_rule_is_written_once():
+    # the scan sees a call nested in an expression, and no attribute call
+    assert len(calls_to(ast.parse("ok = not f(sorted(b)) and b.sorted()"), "sorted")) == 1
+    tree = ast.parse((SRC / "group_core.py").read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body if hasattr(node, "name")}
+    checked = next(
+        node for node in defs["GroupElement"].body if getattr(node, "name", "") == "__init__"
+    )
+    assert calls_to(tree, "sorted") == []
+    assert "_is_window" in defs
+    for entry in (checked, defs["parse_window"]):
+        assert len(calls_to(entry, "_is_window")) == 1, entry.name
+    assert len(texts_containing(tree, "is not a permutation")) == 1

@@ -36,7 +36,6 @@ from gsg.statistics import (
     _inversions,
     _negatives,
     _window_sums,
-    delta,
     delta_block,
     fmaj,
     fmaj_exponents,
@@ -95,9 +94,15 @@ def act(w, r):
     )
 
 
+def simple_side(m, n):
+    """The simple-side set: ``e_j`` minus any colored ``e_l`` with ``l <= j``,
+    as the union of its blocks from anchor ``j = 1`` up to ``n``."""
+    return [r for i in range(n, 0, -1) for r in delta_block(m, n, i)]
+
+
 def length_L_oracle(w):
     """Number of simple-side roots sent negative, by direct counting."""
-    return _negatives(w, delta(w.m, w.n))
+    return _negatives(w, simple_side(w.m, w.n))
 
 
 def poly_mul(p, q):
@@ -134,7 +139,7 @@ def negated(r):
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_root_count_identities(m, n):
-    roots, d = all_roots(m, n), delta(m, n)
+    roots, d = all_roots(m, n), simple_side(m, n)
     blocks = [delta_block(m, n, i) for i in range(1, n + 1)]
     # the builders return lists, and _negatives counts a repeated root twice
     for lst in [roots, d, *blocks]:
@@ -161,7 +166,7 @@ def test_root_count_identities(m, n):
 
 def test_example_block_sizes():
     assert len(all_roots(3, 3)) == 72
-    assert len(delta(3, 3)) == 15
+    assert len(simple_side(3, 3)) == 15
     assert [len(delta_block(3, 3, i)) for i in (1, 2, 3)] == [8, 5, 2]
     assert [len(delta_block(2, 2, i)) for i in (1, 2)] == [3, 1]
 
@@ -169,9 +174,9 @@ def test_example_block_sizes():
 def test_root_machinery_answers_at_radix_one():
     # at m = 1 the roots are the symmetric group's type-A set e_j - e_l
     assert sorted(all_roots(1, 3)) == [(0, j, 0, l) for j in (1, 2, 3) for l in (1, 2, 3) if j != l]
-    assert delta(1, 3) == [(0, 2, 0, 1), (0, 3, 0, 1), (0, 3, 0, 2)]
+    assert simple_side(1, 3) == [(0, 2, 0, 1), (0, 3, 0, 1), (0, 3, 0, 2)]
     # the union of the blocks keeps the set's order: anchor j up, then l up, then color up
-    assert delta(2, 2) == [(0, 1, 1, 1), (0, 2, 0, 1), (0, 2, 1, 1), (0, 2, 1, 2)]
+    assert simple_side(2, 2) == [(0, 1, 1, 1), (0, 2, 0, 1), (0, 2, 1, 1), (0, 2, 1, 2)]
     for w in enumerate_group(1, 4):
         inversions = _inversions(w)
         assert length_L(w) == length_L_oracle(w) == sum(inversions)
@@ -239,7 +244,7 @@ def root_count(w, roots):
 
 def assert_tuple_counter_matches_roots(w):
     m, n = w.m, w.n
-    d = delta(m, n)
+    d = simple_side(m, n)
     assert _negatives(w, d) == root_count(w, d)
     for i in range(1, n + 1):
         block = delta_block(m, n, i)
@@ -258,10 +263,14 @@ def test_tuple_root_counter_matches_root_classifier_exhaustive(m, n):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_blocks_partition_delta(m, n):
-    # verify sums the block counts in place of counting the simple-side set again
-    blocks = [r for i in range(1, n + 1) for r in delta_block(m, n, i)]
-    assert sorted(blocks) == sorted(delta(m, n))
+def test_blocks_partition_the_simple_side_set(m, n):
+    # verify sums the block counts in place of counting the simple-side set again;
+    # the set as defined: e_j minus each colored e_l with l <= j, but not e_j itself
+    defined = [
+        (0, j, b, l) for j in range(1, n + 1) for l in range(1, j + 1) for b in range(m)
+        if (b, l) != (0, j)
+    ]
+    assert sorted(simple_side(m, n)) == sorted(defined)
 
 
 def test_oracle_matches_closed_form_random_big():
@@ -1038,7 +1047,6 @@ GROUP_ENTRY_POINTS = {
     "group_order": group_order,
     "unrank": lambda m, n: unrank(1, m, n),
     "poincare": poincare,
-    "delta": delta,
     "delta_block": lambda m, n: delta_block(m, n, 1),
     "identity": identity,
     "longest_element": longest_element,
