@@ -39,7 +39,7 @@ from pathlib import Path
 
 OPS = (
     "element_of_integer", "integer_of_element", "unrank", "inverse", "power", "parse_window",
-    "GroupElement", "identity",
+    "GroupElement", "identity", "encode_width", "decode",
 )
 MS = (1, 2, 5)
 NS = (8, 100, 500, 2000)
@@ -56,6 +56,7 @@ def _calls(m: int, n: int) -> dict:
     import random
 
     from gsg.group_core import GroupElement, group_order, identity, inverse, parse_window, power
+    from gsg.mixed_radix import decode, encode_width
     from gsg.statistics import unrank
     from gsg.subexceedant import element_of_integer, integer_of_element
 
@@ -64,6 +65,7 @@ def _calls(m: int, n: int) -> dict:
     x, r = rng.randrange(order), rng.randrange(1, order + 1)
     w = element_of_integer(rng.randrange(order), m, n)
     text = w.window()
+    digits = encode_width(x, m, n)
     return {
         "element_of_integer": lambda: element_of_integer(x, m, n),
         "integer_of_element": lambda: integer_of_element(w),
@@ -74,6 +76,9 @@ def _calls(m: int, n: int) -> dict:
         # the checked constructor fed new ints: b + 0 is a new object past 256
         "GroupElement": lambda: GroupElement(m, n, [b + 0 for b in w.beta], w.colors),
         "identity": lambda: identity(m, n),
+        # the codec's halves alone, without gsg.subexceedant's swap walk
+        "encode_width": lambda: encode_width(x, m, n),
+        "decode": lambda: decode(digits),
     }
 
 

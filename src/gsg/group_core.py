@@ -273,7 +273,7 @@ def gen_t(m: int, n: int, i: int) -> GroupElement:
 def gen_sigma(m: int, n: int, i: int) -> GroupElement:
     """The i-th flag generator: ``t_1`` for i = 0, else ``s_i .. s_1 t_1``."""
     m, n = _dims(m, n)
-    if not 0 <= i <= n - 1:
+    if not 0 <= (i := index(i)) <= n - 1:
         raise IndexOutOfRange(f"flag generator index {_decimal(i)} outside 0..{_decimal(n - 1)}")
     w = gen_t(m, n, 1)
     for j in range(1, i + 1):

@@ -49,7 +49,7 @@ def delta_block(m: int, n: int, i: int) -> list[tuple[int, int, int, int]]:
     ``e_p`` minus each colored ``e_l`` with ``l <= p``, less the degenerate
     color-0 same-index term (it is not a root)."""
     m, n = _dims(m, n)
-    if not 1 <= i <= n:
+    if not 1 <= (i := index(i)) <= n:
         raise IndexOutOfRange(f"block index {_decimal(i)} outside 1..{_decimal(n)}")
     p = n + 1 - i
     return [(0, p, k, l) for l in range(1, p + 1) for k in range(m) if l != p or k != 0]

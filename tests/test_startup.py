@@ -1,11 +1,14 @@
 """What starting a ``gsg`` process costs: the modules ``import gsg.cli`` loads,
 and the bytes the JSON-printing commands print; only ``gsg stats`` loads
-``json``, and only when it runs."""
+``json``, and only when it runs.  And what a process ends with: ``main``'s
+return is its exit code."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import gsg
 
@@ -26,6 +29,20 @@ def gsg(*argv: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "gsg.cli", *argv], env=ENV, capture_output=True, timeout=60
     )
+
+
+@pytest.mark.parametrize(
+    "argv, code, stderr",
+    [
+        ("table --m 3 --n 3 --budget 100", 4, b"error: 162 elements for G(3,1,3) exceed budget 100\n"),
+        ("convert --m 2 --to-digits -5", 2, b"error: cannot encode negative integer -5\n"),
+        ("unrank --m 3 --n 3 163", 3, b"error: rank 163 outside 1..162\n"),
+    ],
+    ids=["budget", "parse", "range"],
+)
+def test_main_return_is_the_process_exit_code(argv, code, stderr):
+    proc = gsg(*argv.split())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, b"", stderr)
 
 
 def test_import_loads_no_dataclasses_inspect_or_json():

@@ -18,10 +18,11 @@ from hypothesis import strategies as st
 
 from gsg.errors import DigitBoundError
 from gsg.group_core import (
-    GroupElement, enumerate_group, gen_s, gen_t, group_order, identity, parse_window, power
+    GroupElement, enumerate_group, gen_s, gen_sigma, gen_t, group_order, identity, parse_window,
+    power,
 )
 from gsg.mixed_radix import MixedRadixNumber, encode, encode_width, weights
-from gsg.statistics import QPolynomial, inv_closed, unrank
+from gsg.statistics import QPolynomial, delta_block, inv_closed, unrank
 from gsg.subexceedant import psi, psi_inverse
 
 
@@ -160,6 +161,8 @@ NOT_AN_INT = "'float' object cannot be interpreted as an integer"
         ),
         (lambda: gen_s(2, 3, 1.0), TypeError, NOT_AN_INT),
         (lambda: gen_t(2, 3, 1.0), TypeError, NOT_AN_INT),
+        (lambda: gen_sigma(2, 3, 1e300), TypeError, NOT_AN_INT),
+        (lambda: delta_block(2, 3, 1e300), TypeError, NOT_AN_INT),
         (lambda: inv_closed(identity(2, 3), 1.0), TypeError, NOT_AN_INT),
         # gen_t picks its color without dividing by m, so m = 0 reaches the check
         (lambda: gen_t(0, 3, 1), ValueError, "need m >= 1 and n >= 1, got (0, 3)"),
