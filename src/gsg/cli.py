@@ -212,9 +212,8 @@ def _cmd_text_encode(args) -> None:
 def main(argv: list[str] | None = None) -> int:
     # integers, digit strings and text codes may run past 4300 decimal digits:
     # the int<->str limit is lifted for the command and then put back
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:  # parse_args leaves through SystemExit, which only the finally sees
         args = _build_parser().parse_args(argv)
         for field in ("m", "n", "budget"):
@@ -233,8 +232,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_BUDGET
     finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -775,8 +775,6 @@ def test_cli_roundtrips(capsys):
 
 def with_int_limit(limit, fn, *args):
     """``fn(*args)`` under the given int<->str digit limit (0 = none)."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return fn(*args)
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(limit)
     try:
@@ -785,9 +783,6 @@ def with_int_limit(limit, fn, *args):
         sys.set_int_max_str_digits(old)
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
-)
 @pytest.mark.parametrize(
     "argv,code",
     [
@@ -820,7 +815,7 @@ def test_main_puts_back_the_str_digit_limit(capsys, argv, code):
 
 def run_at_default_limit(capsys, *argv):
     # main must lift CPython's default limit itself
-    default = getattr(sys.int_info, "default_max_str_digits", 0)
+    default = sys.int_info.default_max_str_digits
     return with_int_limit(default, run, capsys, *argv)
 
 

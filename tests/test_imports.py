@@ -9,7 +9,8 @@ and a re-export is not a caller.  A name in a module's ``__all__`` must be
 imported by another ``gsg`` module or by a demo, from its module or from
 ``gsg``, or read as ``gsg.X`` or ``G.X`` by the benchmark in ``bench/``:
 code that only the tests call belongs in the tests.  The package exports
-every such name, and its version is the one ``pyproject.toml`` declares.
+every such name, and its version and its ``gsg`` console script are the
+ones ``pyproject.toml`` declares.
 The message refusing a group's ``(m, n)``, or a digit string's radix seed
 and width, is written once, in ``mixed_radix._dims``, which every entry
 point calls; the refusal of a negative integer to encode is written once,
@@ -19,12 +20,14 @@ linear predicate ``group_core._is_window``, and ``group_core`` sorts nothing.
 """
 
 import ast
-import re
+import importlib
+import tomllib
 from pathlib import Path
 
 import pytest
 
 import gsg
+import gsg.cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "gsg"
@@ -33,6 +36,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 BENCH = sorted((ROOT / "bench").glob("*.py"))
 # the modules whose __all__ the package re-exports; gsg.verify is loaded on demand
 EXPORTED = ("group_core", "mixed_radix", "statistics", "subexceedant")
+PROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
 
 
 def unused_imports(source):
@@ -128,10 +132,20 @@ def test_the_package_exports_every_public_name():
 
 
 def test_the_version_is_the_one_pyproject_declares():
-    # a regex, as tomllib is new in Python 3.11
-    declared = re.search(r'^version = "([^"]+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
-    assert declared is not None
-    assert gsg.__version__ == declared[1]
+    assert gsg.__version__ == PROJECT["version"]
+
+
+def test_the_gsg_console_script_is_cli_main(capsys):
+    # the script that pip installs; --help leaves main through argparse's SystemExit
+    assert PROJECT["scripts"] == {"gsg": "gsg.cli:main"}
+    module, _, name = PROJECT["scripts"]["gsg"].partition(":")
+    assert getattr(importlib.import_module(module), name) is gsg.cli.main
+    with pytest.raises(SystemExit) as exc:
+        gsg.cli.main(["--help"])
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    commands = "convert,element,rank,unrank,stats,table,poincare,verify,text-encode"
+    assert exc.value.code == 0
+    assert usage.startswith("usage: gsg [-h]") and f"{{{commands}}}" in usage
 
 
 RULE = "need m >= 1"  # the start of _dims's message
