@@ -1,4 +1,5 @@
-"""Per-call time and retained memory of gsg's element operations, by size.
+"""Per-call time and retained memory of gsg's element operations and
+per-element statistics, by size.
 
 Run from the root of a checkout, naming each tree of sources to measure as
 ``LABEL=DIR``, where DIR holds the ``gsg`` package:
@@ -12,15 +13,19 @@ and each m in ``MS``, a case records
   repeats, in microseconds per call, in round order; a case stops repeating
   once it has run ``CAP_S`` seconds in a round;
 - ``us_per_call``: the least of ``us_per_round``;
+- ``spread``: the most of ``us_per_round`` over the least, so a ratio
+  between two trees inside it cannot be read;
 - ``retained_bytes``: what tracemalloc still counts allocated per result,
   over ``KEEP`` results kept alive (small tuples come from CPython's free
   lists, so at n = 8 this can read near 0).
 
 Each tree runs in its own processes, one per (m, n) block and round, and the
-trees take turns block by block, the first one alternating, so that a drift
-in the machine's speed falls on them alike; a machine whose speed swings
-between phases gives each tree a block in more than one phase.  Inputs come from a generator seeded by
-(m, n): every tree sees the same ones.  Only the standard library is used.
+trees take turns block by block, so that a drift in the machine's speed
+falls on them alike; a machine whose speed swings between phases gives each
+tree a block in more than one phase.  The tree that runs first alternates
+from block to block, and from round to round at each block.  Inputs come
+from a generator seeded by (m, n): every tree sees the same ones.  Only the
+standard library is used.
 """
 
 from __future__ import annotations
@@ -35,11 +40,13 @@ import sys
 import time
 import timeit
 import tracemalloc
+from itertools import product
 from pathlib import Path
 
 OPS = (
-    "element_of_integer", "integer_of_element", "unrank", "inverse", "power", "parse_window",
-    "GroupElement", "identity", "encode_width", "decode",
+    "element_of_integer", "integer_of_element", "unrank", "multiply", "inverse", "power", "phi",
+    "parse_window", "GroupElement", "identity", "encode_width", "decode",
+    "rank", "inversion_table", "fmaj", "fmaj_exponents", "length_L", "canonical_length",
 )
 MS = (1, 2, 5)
 NS = (8, 100, 500, 2000)
@@ -55,9 +62,12 @@ def _calls(m: int, n: int) -> dict:
     """One zero-argument call per operation, on inputs seeded by (m, n)."""
     import random
 
-    from gsg.group_core import GroupElement, group_order, identity, inverse, parse_window, power
+    from gsg.group_core import (
+        GroupElement, canonical_length, group_order, identity, inverse, multiply, parse_window,
+        power,
+    )
     from gsg.mixed_radix import decode, encode_width
-    from gsg.statistics import unrank
+    from gsg.statistics import fmaj, fmaj_exponents, inversion_table, length_L, phi, rank, unrank
     from gsg.subexceedant import element_of_integer, integer_of_element
 
     rng = random.Random(f"{m},{n}")
@@ -66,12 +76,15 @@ def _calls(m: int, n: int) -> dict:
     w = element_of_integer(rng.randrange(order), m, n)
     text = w.window()
     digits = encode_width(x, m, n)
+    v = element_of_integer(rng.randrange(order), m, n)  # drawn last: the inputs above stay
     return {
         "element_of_integer": lambda: element_of_integer(x, m, n),
         "integer_of_element": lambda: integer_of_element(w),
         "unrank": lambda: unrank(r, m, n),
+        "multiply": lambda: multiply(w, v),
         "inverse": lambda: inverse(w),
         "power": lambda: power(w, POWER),
+        "phi": lambda: phi(w),
         "parse_window": lambda: parse_window(text, m),
         # the checked constructor fed new ints: b + 0 is a new object past 256
         "GroupElement": lambda: GroupElement(m, n, [b + 0 for b in w.beta], w.colors),
@@ -79,6 +92,12 @@ def _calls(m: int, n: int) -> dict:
         # the codec's halves alone, without gsg.subexceedant's swap walk
         "encode_width": lambda: encode_width(x, m, n),
         "decode": lambda: decode(digits),
+        "rank": lambda: rank(w),
+        "inversion_table": lambda: inversion_table(w),
+        "fmaj": lambda: fmaj(w),
+        "fmaj_exponents": lambda: fmaj_exponents(w),
+        "length_L": lambda: length_L(w),
+        "canonical_length": lambda: canonical_length(w),
     }
 
 
@@ -147,9 +166,11 @@ def main(argv: list[str] | None = None) -> None:
     args = parser.parse_args(argv)
     trees = args.tree
     runs = [{"label": label, "src_sha256": None, "cases": {}} for label, _ in trees]
-    blocks = [(m, n) for _ in range(ROUNDS) for n in args.n for m in MS]
-    for i, (m, n) in enumerate(blocks):
-        order = range(len(trees)) if i % 2 == 0 else reversed(range(len(trees)))
+    blocks = [
+        (r + j, m, n) for r in range(ROUNDS) for j, (n, m) in enumerate(product(args.n, MS))
+    ]
+    for turn, m, n in blocks:
+        order = range(len(trees)) if turn % 2 == 0 else reversed(range(len(trees)))
         for t in order:
             block = _run_block(trees[t][1], m, n)
             runs[t]["src_sha256"] = block["src_sha256"]
@@ -158,6 +179,7 @@ def main(argv: list[str] | None = None) -> None:
                 kept = runs[t]["cases"].setdefault(key, {**case, "us_per_round": []})
                 kept["us_per_round"].append(case["us_per_call"])
                 kept["us_per_call"] = min(kept["us_per_round"])
+                kept["spread"] = round(max(kept["us_per_round"]) / kept["us_per_call"], 3)
     for run in runs:
         run["cases"] = [run["cases"][key] for key in sorted(run["cases"])]
     record = {

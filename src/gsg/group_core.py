@@ -25,6 +25,9 @@ longer tuple, never by extending a shared list in place: two threads
 extending one list could both append the same range and break
 ``pool[k - 1] == k``, while a rebind lost to another thread only leaves some
 windows holding their own objects.
+
+At m = 1 both constructors store one cached tuple of n zero colors once their
+checks pass, as identity and gen_s do at every m: 16 KB of 32 at n = 2000.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import itertools
 import re
 from collections import Counter
 from collections.abc import Iterator, Sequence
+from functools import lru_cache
 from operator import index
 
 from .errors import (
@@ -67,6 +71,7 @@ DEFAULT_BUDGET = 10**6
 _ENTRY_RE = re.compile(r"(?:\[([0-9]+)\])?([0-9]+)")
 
 _pool: tuple[int, ...] = ()  # _pool[k - 1] is k; see the module docstring
+_UNCOLORED_SIZES = 32  # zero-color tuples kept: at worst this many of the largest n
 
 
 def _window(n: int) -> list[int]:
@@ -82,6 +87,11 @@ def _grow(n: int) -> tuple[int, ...]:
     if len(pool) < n:
         _pool = pool = pool + tuple(range(len(pool) + 1, n + 1))
     return pool
+
+
+@lru_cache(maxsize=_UNCOLORED_SIZES)
+def _uncolored(n: int) -> tuple[int, ...]:
+    return (0,) * n
 
 
 def _is_window(beta: Sequence[int], n: int) -> bool:
@@ -115,7 +125,7 @@ class GroupElement(Value):
         _set_m(self, m)
         _set_n(self, n)
         _set_beta(self, tuple([pool[b - 1] for b in beta]))
-        _set_colors(self, colors)
+        _set_colors(self, _uncolored(n) if m == 1 else colors)
 
     @staticmethod
     def _unchecked(
@@ -125,7 +135,7 @@ class GroupElement(Value):
         _set_m(obj, m)
         _set_n(obj, n)
         _set_beta(obj, beta)
-        _set_colors(obj, colors)
+        _set_colors(obj, _uncolored(n) if m == 1 else colors)
         return obj
 
     # field by field: verify compares elements one by one over whole groups
@@ -183,7 +193,7 @@ def _require_budget(work: int | None, unit: str, m: int, n: int, budget: int) ->
 
 def identity(m: int, n: int) -> GroupElement:
     m, n = _dims(m, n)
-    return GroupElement._unchecked(m, n, _grow(n)[:n], (0,) * n)
+    return GroupElement._unchecked(m, n, _grow(n)[:n], _uncolored(n))
 
 
 def multiply(u: GroupElement, v: GroupElement) -> GroupElement:
@@ -254,7 +264,7 @@ def gen_s(m: int, n: int, i: int) -> GroupElement:
         raise IndexOutOfRange(f"transposition index {_decimal(i)} outside 1..{_decimal(n - 1)}")
     beta = _window(n)
     beta[i - 1], beta[i] = beta[i], beta[i - 1]
-    return GroupElement._unchecked(m, n, tuple(beta), (0,) * n)
+    return GroupElement._unchecked(m, n, tuple(beta), _uncolored(n))
 
 
 def gen_t(m: int, n: int, i: int) -> GroupElement:

@@ -23,8 +23,10 @@ from gsg.errors import (
     WindowParseError,
 )
 from gsg.group_core import (
+    _UNCOLORED_SIZES,
     GroupElement,
     _order_within,
+    _uncolored,
     _window,
     canonical_length,
     enumerate_group,
@@ -41,7 +43,7 @@ from gsg.group_core import (
 )
 from gsg.mixed_radix import MixedRadixNumber
 from gsg.statistics import length_L, phi, unrank
-from gsg.subexceedant import element_of_digits, element_of_integer
+from gsg.subexceedant import element_of_digits, element_of_integer, integer_of_element
 
 
 def test_identity_and_unit_laws():
@@ -502,28 +504,111 @@ def test_checked_constructor_and_parse_window_take_the_pools_ints():
 
 
 def test_built_elements_retain_no_ints_of_their_own():
-    # two tuples of 2000 pointers are about 32 KB; 1744 own ints would add 55 KB
-    m, n = 2, 2000
-    rng = random.Random(2000)
-    xs = [rng.randrange(group_order(m, n)) for _ in range(20)]
-    ws = [element_of_integer(x, m, n) for x in xs]  # the pool reaches n before the trace
-    texts = [w.window() for w in ws]
-    builds = {
-        "element_of_integer": lambda i: element_of_integer(xs[i], m, n),
-        # the caller's fresh ints are dropped once the element is built
-        "GroupElement": lambda i: GroupElement(m, n, fresh_ints(ws[i].beta), ws[i].colors),
-        "parse_window": lambda i: parse_window(texts[i], m),
-    }
-    for name, build in builds.items():
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            kept = [build(i) for i in range(len(xs))]
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert kept == ws
-        assert retained / len(kept) < 40_000, name
+    # two tuples of 2000 pointers are about 32 KB; 1744 own ints would add 55 KB.
+    # At m = 1 the colors are the one shared tuple, so only beta's 16 KB is left.
+    n = 2000
+    for m, bound in ((2, 40_000), (1, 20_000)):
+        rng = random.Random(2000)
+        xs = [rng.randrange(group_order(m, n)) for _ in range(20)]
+        ws = [element_of_integer(x, m, n) for x in xs]  # the pool reaches n before the trace
+        texts = [w.window() for w in ws]
+        builds = {
+            "element_of_integer": lambda i: element_of_integer(xs[i], m, n),
+            # the caller's fresh ints are dropped once the element is built
+            "GroupElement": lambda i: GroupElement(m, n, fresh_ints(ws[i].beta), ws[i].colors),
+            "parse_window": lambda i: parse_window(texts[i], m),
+        }
+        for name, build in builds.items():
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                kept = [build(i) for i in range(len(xs))]
+                retained = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert kept == ws
+            assert retained / len(kept) < bound, (m, name)
+
+
+def own_colors(w):
+    """``w`` holding a new tuple of its colors, stored past both constructors."""
+    own = object.__new__(GroupElement)
+    for name, value in zip(GroupElement.__slots__, (w.m, w.n, w.beta, tuple(list(w.colors)))):
+        object.__setattr__(own, name, value)
+    return own
+
+
+SHARING_N = 300
+# each build at m = 1 from u and v, two elements that hold colors of their own
+M1_BUILDS = {
+    "unrank": lambda u, v: unrank(12345, 1, u.n),
+    "phi": lambda u, v: phi(u),
+    "element_of_digits": lambda u, v: element_of_digits(MixedRadixNumber(1, list(range(u.n)))),
+    "element_of_integer": lambda u, v: element_of_integer(67890, 1, u.n),
+    "multiply": lambda u, v: multiply(u, v),
+    "inverse": lambda u, v: inverse(u),
+    "power": lambda u, v: power(u, 7),
+    "enumerate_group": lambda u, v: list(enumerate_group(1, 4))[-1],
+    "parse_window": lambda u, v: parse_window(u.window(), 1),
+    "GroupElement": lambda u, v: GroupElement(1, u.n, fresh_ints(u.beta), [0] * u.n),
+    "copy": lambda u, v: copy.copy(u),
+    "deepcopy": lambda u, v: copy.deepcopy(u),
+    "pickle": lambda u, v: pickle.loads(pickle.dumps(u)),
+    "identity": lambda u, v: identity(1, u.n),
+    "gen_s": lambda u, v: gen_s(1, u.n, 5),
+    "gen_t": lambda u, v: gen_t(1, u.n, 5),
+    "gen_sigma": lambda u, v: gen_sigma(1, u.n, 5),
+    "longest_element": lambda u, v: longest_element(1, u.n),
+}
+
+
+@pytest.mark.parametrize("build", M1_BUILDS.values(), ids=M1_BUILDS)
+def test_every_element_shares_one_color_tuple_at_m_1(build):
+    rng = random.Random(SHARING_N)
+    u, v = (
+        own_colors(element_of_integer(rng.randrange(group_order(1, SHARING_N)), 1, SHARING_N))
+        for _ in range(2)
+    )
+    assert u.colors is not v.colors
+    w = build(u, v)
+    assert w.colors is identity(1, w.n).colors
+    # a build holding a fresh tuple is the same value
+    fresh = own_colors(w)
+    assert fresh.colors is not w.colors
+    assert w == fresh and fresh == w and hash(w) == hash(fresh)
+    assert w.colors == (0,) * w.n
+
+
+def test_identity_and_gen_s_share_the_zero_tuple_at_every_m():
+    m, n = 3, SHARING_N
+    zeros = identity(m, n).colors
+    assert gen_s(m, n, 7).colors is zeros and identity(1, n).colors is zeros
+    # any other build at m >= 2 may hold nonzero colors: it builds its own tuple
+    u = identity(m, n)
+    built = [
+        unrank(1, m, n),
+        element_of_integer(integer_of_element(u), m, n),
+        multiply(u, u),
+        inverse(u),
+        power(u, 3),
+        parse_window(u.window(), m),
+        GroupElement(m, n, u.beta, [0] * n),
+        copy.copy(u),
+        pickle.loads(pickle.dumps(u)),
+    ]
+    for w in built:
+        assert w == u and w.colors is not zeros
+
+
+def test_the_color_cache_stays_within_its_bound():
+    ns = range(1, 2 * _UNCOLORED_SIZES + 1)
+    kept = [identity(1, n) for n in ns]
+    assert _uncolored.cache_info().currsize == _UNCOLORED_SIZES
+    assert _uncolored.cache_info().maxsize == _UNCOLORED_SIZES
+    # an element outlives its tuple's cache entry, and a later build of that n
+    # holds an equal tuple
+    assert [w.colors for w in kept] == [(0,) * n for n in ns]
+    assert kept[0] == identity(1, 1)
 
 
 def test_pool_grows_race_free_under_threads(monkeypatch):
@@ -591,12 +676,15 @@ REFUSED_BUILDS = {
 
 @pytest.mark.parametrize("build, message", REFUSED_BUILDS.values(), ids=REFUSED_BUILDS)
 def test_a_refused_build_leaves_the_pool_alone(monkeypatch, build, message):
-    # every check runs before the pool grows: a refused 10^5 leaves no ints behind
+    # every check runs before the pool grows or a color tuple is made:
+    # a refused 10^5 leaves no ints and no zeros behind
     monkeypatch.setattr(gsg.group_core, "_pool", ())
+    colors = _uncolored.cache_info()
     with pytest.raises(ValueError) as exc:
         build()
     assert str(exc.value) == message
     assert len(gsg.group_core._pool) == 0
+    assert _uncolored.cache_info() == colors  # not looked up, so currsize is unchanged too
 
 
 @st.composite

@@ -35,8 +35,13 @@ def test_growth_record_at_n_8_has_every_key(tmp_path):
     cases = run["cases"]
     assert [(c["op"], c["m"], c["n"]) for c in cases] == list(product(growth.OPS, growth.MS, [8]))
     for case in cases:
-        assert set(case) == {"op", "m", "n", "us_per_call", "us_per_round", "retained_bytes"}
+        assert set(case) == {
+            "op", "m", "n", "us_per_call", "us_per_round", "spread", "retained_bytes"
+        }
         assert case["us_per_call"] > 0 and isinstance(case["retained_bytes"], int)
-        # every round's best is kept, and the case's time is the least of them
+        # every round's best is kept, the case's time is the least of them,
+        # and the spread is the most over the least
         assert len(case["us_per_round"]) == growth.ROUNDS
         assert case["us_per_call"] == min(case["us_per_round"])
+        assert case["spread"] == round(max(case["us_per_round"]) / case["us_per_call"], 3)
+        assert case["spread"] >= 1

@@ -17,6 +17,8 @@ point calls; the refusal of a negative integer to encode is written once,
 in ``encode_width``.  Both entry points of a window, the checked
 ``GroupElement`` constructor and ``parse_window``, test it with the one
 linear predicate ``group_core._is_window``, and ``group_core`` sorts nothing.
+The tuple of n zero colors that elements share is written once, in
+``group_core._uncolored``.
 """
 
 import ast
@@ -206,3 +208,26 @@ def test_the_window_rule_is_written_once():
     for entry in (checked, defs["parse_window"]):
         assert len(calls_to(entry, "_is_window")) == 1, entry.name
     assert len(texts_containing(tree, "is not a permutation")) == 1
+
+
+def zero_tuple_products(tree):
+    """The products ``(0,) * x`` and ``x * (0,)`` under ``tree``."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mult)
+        and "(0,)" in (ast.unparse(node.left), ast.unparse(node.right))
+    ]
+
+
+def test_the_zero_colors_are_written_once():
+    # the scan sees either operand order, and no list of zeros or other tuple
+    sample = "a = (0,) * n + n * (0,) + [0] * n + (1,) * n + (0, 0) * n"
+    assert len(zero_tuple_products(ast.parse(sample))) == 2
+    tree = ast.parse((SRC / "group_core.py").read_text(encoding="utf-8"))
+    uncolored = next(
+        node for node in tree.body if getattr(node, "name", "") == "_uncolored"
+    )
+    assert len(zero_tuple_products(uncolored)) == 1
+    assert zero_tuple_products(tree) == zero_tuple_products(uncolored)
